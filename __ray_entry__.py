@@ -172,9 +172,12 @@ def _lsh_topk(sf_dir: str):
 def _ivf_index_topk(sf_dir: str):
     """Persisted-IVF path: build the partition-pruned index on disk
     (quantized fit), then query it — I/O scales with probed cells, not
-    corpus size. Same result surface as ivf_topk, same oracle."""
+    corpus size. Same result surface as ivf_topk, same oracle. The top-k
+    (queries x k rows) is collected before the index dir is removed."""
+    import shutil
     import tempfile
 
+    import pyarrow as pa
     import ray.data
 
     from unravel_ray.ann import build_ivf_index_quantized, ivf_query_index_quantized
@@ -182,8 +185,14 @@ def _ivf_index_topk(sf_dir: str):
     q = _ivf_query_vectors(sf_dir)
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     idx_dir = tempfile.mkdtemp(prefix="unravel-ivf-")
-    build_ivf_index_quantized(ds, idx_dir, n_centroids=8, n_iters=4, sample_mod=5)
-    return ivf_query_index_quantized(idx_dir, q, k=5, n_probe=2)
+    try:
+        build_ivf_index_quantized(ds, idx_dir, n_centroids=8, n_iters=4, sample_mod=5)
+        top = ivf_query_index_quantized(idx_dir, q, k=5, n_probe=2)
+        if not isinstance(top, pa.Table):
+            top = pa.concat_tables(ray.get(top.to_arrow_refs()))
+    finally:
+        shutil.rmtree(idx_dir, ignore_errors=True)
+    return ray.data.from_arrow(top)
 
 
 def _lang_distribution(sf_dir: str):

@@ -148,3 +148,54 @@ def test_priority_window_contains_new_and_core_queries():
     missing = must_be_inside - window
     assert not missing, f"outside the 50-entry driver window: {sorted(missing)}"
     assert set(e.oracle_sql()) == set(names), "every query needs an oracle"
+
+
+def test_query_tokens_fold_like_duckdb_lower(ray_session, tmp_path):
+    """A query token containing U+0130 folds with the simple mapping
+    (DuckDB lower() == Arrow utf8_lower), so it matches the folded corpus;
+    str.lower() would give 'i' + U+0307 and match nothing."""
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+    from unravel_ray import relational as R
+
+    query = "İSTANBUL merge"
+    c = duckdb.connect()
+    tokens = c.execute("SELECT lower(?)", [query]).fetchone()[0].split()
+    assert R._fold_tokens(query) == tokens == ["istanbul", "merge"]
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": ["İstanbul merge notes", "istanbul only", "merge only",
+                 "nothing here"],
+        "lang": ["en"] * 4,
+        "source": ["a", "b", "c", "d"],
+    }), str(tmp_path / "documents.parquet"))
+    c.execute("CREATE VIEW documents AS SELECT * FROM "
+              f"read_parquet('{tmp_path}/documents.parquet')")
+    cases = [
+        (R.search_content(str(tmp_path), query=query),
+         e._search_content_sql(tokens=tuple(tokens))),
+        (R.search_highlights(str(tmp_path), query=query),
+         e._search_highlights_sql(tokens=tuple(tokens))),
+    ]
+    for got, sql in cases:
+        got, want = _canon(_to_pandas(got)), _canon(c.execute(sql).fetchdf())
+        assert got.to_dict("records") == want.to_dict("records")
+        assert {1, 2} <= set(got["doc_id"])
+
+
+def test_ivf_index_topk_removes_its_index_dir(contract):
+    import os
+    import tempfile
+
+    qs, _ = contract
+
+    def ivf_dirs():
+        tmp = tempfile.gettempdir()
+        return {d for d in os.listdir(tmp) if d.startswith("unravel-ivf-")}
+
+    before = ivf_dirs()
+    out = _to_pandas(qs["ivf_index_topk"](SF_DIR))
+    assert len(out) > 0
+    assert ivf_dirs() <= before

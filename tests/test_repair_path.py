@@ -59,6 +59,40 @@ def test_finalize_block_emits_marker_for_incomplete_fragment(ray_session):
     assert all(r["status"] != SPLIT_MARKER_STATUS for r in complete)
 
 
+def test_partition_tag_passthrough_is_invisible_to_other_callers():
+    """Without the PARTITION_TAG column explode_extract / finalize_block
+    return exactly WORKUNIT_SCHEMA / EXTRACTED_SCHEMA; with it they return
+    the same rows plus the tag, doc-constant, as the last column."""
+    from unravel_ray.schema import PARTITION_TAG, WORKUNIT_SCHEMA
+
+    corpus = make_corpus(12)
+    tags = pa.array([i % 3 for i in range(corpus.num_rows)], pa.int32())
+    tag_of = dict(zip(corpus["doc_id"].to_pylist(), tags.to_pylist()))
+    tagged = corpus.append_column(PARTITION_TAG, tags)
+
+    units = explode_extract(corpus)
+    units_t = explode_extract(tagged)
+    assert units.schema == WORKUNIT_SCHEMA
+    assert units_t.schema == WORKUNIT_SCHEMA.append(
+        pa.field(PARTITION_TAG, pa.int32()))
+    assert units_t.drop_columns([PARTITION_TAG]).equals(units)
+    assert units_t[PARTITION_TAG].to_pylist() == [
+        tag_of[d] for d in units_t["doc_id"].to_pylist()]
+
+    ocr = dict(preferred="fake", fallback_chain=("fake",))
+    out = finalize_block(ocr_task(units, **ocr))
+    out_t = finalize_block(ocr_task(units_t, **ocr))
+    assert out.schema == EXTRACTED_SCHEMA
+    assert out_t.schema == EXTRACTED_SCHEMA.append(
+        pa.field(PARTITION_TAG, pa.int32()))
+    assert out_t.drop_columns([PARTITION_TAG]).equals(out)
+    assert out_t[PARTITION_TAG].to_pylist() == [
+        tag_of[d] for d in out_t["doc_id"].to_pylist()]
+
+    empty = finalize_block(ocr_task(units_t.slice(0, 0), **ocr))
+    assert empty.num_rows == 0 and PARTITION_TAG in empty.column_names
+
+
 def test_repair_merges_split_doc(ray_session):
     corpus = make_corpus(40)
     docs = ray.data.from_arrow(corpus)

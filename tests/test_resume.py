@@ -4,6 +4,7 @@ partitions are skipped, (b) final table row-identical to an uninterrupted
 run, (c) no duplicate doc_id."""
 
 import collections
+import os
 
 import pytest
 
@@ -211,3 +212,113 @@ def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, monkeypa
     fixed = next(r for r in rows if r["doc_id"] == victim)
     assert fixed["status"] in ("completed", "failed")
     assert victim == "doc-00000005"
+
+
+def _write_shards(src, corpus, n_files):
+    import pyarrow.parquet as pq
+
+    src.mkdir()
+    per = corpus.num_rows // n_files
+    files = []
+    for i in range(n_files):
+        f = str(src / f"shard-{i}.parquet")
+        pq.write_table(corpus.slice(i * per, per), f)
+        files.append(f)
+    return files
+
+
+def test_files_checkpoint_kill_and_resume(ray_session, tmp_path):
+    """One execution per call: fail_after=3 abandons it after three
+    commits; the resume runs only the other three and the result equals
+    an uninterrupted run row for row."""
+    from unravel_ray.checkpoint import run_with_checkpoint_files
+
+    files = _write_shards(tmp_path / "src", make_corpus(180), 6)
+    straight, resumed = str(tmp_path / "straight"), str(tmp_path / "resumed")
+    assert run_with_checkpoint_files(files, straight, cfg=CFG)["executed"] == list(range(6))
+
+    with pytest.raises(PartitionInterrupted):
+        run_with_checkpoint_files(files, resumed, cfg=CFG, fail_after=3)
+    m = read_manifest(resumed)
+    assert len(m) == 3
+
+    res = run_with_checkpoint_files(files, resumed, cfg=CFG)
+    assert res["skipped"] == sorted(m)
+    assert res["executed"] == sorted(set(range(6)) - set(m))
+
+    a, b = _rows(straight), _rows(resumed)
+    assert len(a) == 180
+    assert a == b
+    ids = [r["doc_id"] for r in b]
+    assert len(ids) == len(set(ids))
+    assert sum(r["n_rows"] for r in read_manifest(resumed).values()) == 180
+    assert not [d for d in os.listdir(resumed) if d.startswith(".tmp-part-")]
+
+
+def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch):
+    """Split markers inside the one-execution files variant: the commit
+    recomputes the marked doc into data-repair.parquet and load_extracted
+    returns the complete doc set, marker-free."""
+    import pyarrow as pa
+
+    import unravel_ray.pipeline as P
+    from unravel_ray.checkpoint import run_with_checkpoint_files
+    from unravel_ray.schema import SPLIT_MARKER_STATUS
+
+    victim = "doc-00000005"
+    real_core = P._build_extraction_core
+
+    def sabotage(t: pa.Table) -> pa.Table:
+        rows = []
+        for r in t.to_pylist():
+            if r["doc_id"] == victim:
+                m = dict(r, spans=[], status=SPLIT_MARKER_STATUS,
+                         error_message=None, provider=None, n_spans=0,
+                         n_chars=0, confidence_micros=None,
+                         language_detected=None)
+                rows.extend([m, dict(m)])
+            else:
+                rows.append(r)
+        return pa.Table.from_pylist(rows, schema=t.schema)  # keeps the tag
+
+    monkeypatch.setattr(P, "_build_extraction_core", lambda docs, cfg: real_core(
+        docs, cfg).map_batches(sabotage, batch_format="pyarrow"))
+    files = _write_shards(tmp_path / "src", make_corpus(24), 3)
+    out = str(tmp_path / "out")
+    res = run_with_checkpoint_files(files, out, cfg=CFG)
+    assert res["executed"] == [0, 1, 2]
+
+    repair_files = [d for d in os.listdir(out) if d.startswith("part-")
+                    and os.path.exists(os.path.join(out, d, "data-repair.parquet"))]
+    assert repair_files == ["part-0"]  # doc 5 lives in the first shard
+    rows = load_extracted(out).take_all()
+    assert sorted(r["doc_id"] for r in rows) == [f"doc-{i:08d}" for i in range(24)]
+    assert all(r["status"] != SPLIT_MARKER_STATUS for r in rows)
+    assert next(r for r in rows if r["doc_id"] == victim)["status"] in (
+        "completed", "failed")
+    assert sum(r["n_rows"] for r in read_manifest(out).values()) == 24
+
+
+def test_files_checkpoint_commits_empty_partition(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+
+    from unravel_ray.checkpoint import run_with_checkpoint_files
+
+    files = _write_shards(tmp_path / "src", make_corpus(40), 2)
+    empty = str(tmp_path / "src" / "shard-2.parquet")
+    pq.write_table(make_corpus(1).slice(0, 0), empty)
+    out = str(tmp_path / "out")
+    res = run_with_checkpoint_files(files + [empty], out, cfg=CFG)
+    assert res == {"executed": [0, 1, 2], "skipped": []}
+    m = read_manifest(out)
+    assert m[2]["n_rows"] == 0 and m[2]["n_completed"] == 0
+    assert os.path.isdir(os.path.join(out, "part-2"))
+    assert load_extracted(out).count() == 40
+
+
+def test_files_checkpoint_rejects_shuffle_reassembly(tmp_path):
+    from unravel_ray.checkpoint import run_with_checkpoint_files
+
+    with pytest.raises(ValueError):
+        run_with_checkpoint_files([], str(tmp_path / "out"),
+                                  cfg=PipelineConfig(reassembly="shuffle"))

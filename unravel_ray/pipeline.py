@@ -215,10 +215,11 @@ def _repair_split_docs(docs: Dataset, extracted: Dataset, cfg: PipelineConfig) -
     Here we pin the output once (it is the final in-memory result being
     handed back; callers are tests and small composable pipelines), scan
     for markers, and splice in an exact recompute of just those docs.
-    Both unbounded paths avoid this entirely: run_flagship/entry use
-    extract_publish and the checkpoint variants use
-    checkpoint._write_partition_streaming — each audits WRITTEN output
-    via parquet footers and never materializes anything.
+    The unbounded paths avoid this entirely and never materialize
+    anything: run_flagship/entry use extract_publish and
+    checkpoint.run_with_checkpoint uses _write_partition_streaming (both
+    audit WRITTEN output via parquet footers); run_with_checkpoint_files
+    gets marker doc_ids from its workers' per-block summary rows.
     """
     extracted = extracted.materialize()
     marker_rows = extracted.map_batches(_marker_ids, batch_format="pyarrow").take_all()

@@ -29,6 +29,14 @@ def _pq(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _fold_tokens(query: str) -> list[str]:
+    """Whitespace tokens of ``query`` lowered with the simple Unicode
+    mapping (Arrow utf8_lower == DuckDB lower()), the same fold the
+    corpus side gets. str.lower() full-folds U+0130 to 'i' + U+0307, which
+    never matches a simple-folded corpus."""
+    return pc.utf8_lower(pa.scalar(query, pa.string())).as_py().split()
+
+
 def _cents(batch: pa.Table, src: str, dst: str) -> pa.Table:
     # half_towards_infinity matches DuckDB ROUND() (half away from zero);
     # pyarrow's default half_to_even would diverge on exact .5-cent inputs
@@ -225,7 +233,7 @@ def search_content(sf_dir: str, query: str = "hash merge src3",
     """
     import re as _re
 
-    tokens = [t for t in query.lower().split() if t]
+    tokens = _fold_tokens(query)
     keep = page * page_size
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
     schema = pa.schema([("doc_id", pa.int64()), ("score", pa.int64()),
@@ -295,7 +303,7 @@ def search_highlights(sf_dir: str, query: str = "hash merge src3",
     """
     import re as _re
 
-    tokens = [t for t in query.lower().split() if t]
+    tokens = _fold_tokens(query)
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
     schema = pa.schema([("doc_id", pa.int64()), ("score", pa.int64()),
                         ("text", pa.string())])
@@ -389,7 +397,7 @@ def search_fuzzy(sf_dir: str, query: str = "hashe mergee",
     native ``levenshtein`` over the extracted word list. Same per-batch
     top-k + marker-count shape as search_content.
     """
-    tokens = [t for t in query.lower().split() if t]
+    tokens = _fold_tokens(query)
     pats = [_lev1_pattern(t) for t in tokens]
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "lang"])
     schema = pa.schema([("doc_id", pa.int64()), ("score", pa.int64()),
@@ -1452,7 +1460,7 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
         rtbl = (group.filter(pc.equal(sides, 1)).select([on] + rout)
                 .rename_columns([on] + rcols))
         joined = ltbl.join(rtbl, keys=on, join_type=arrow_how,
-                           right_suffix=right_suffix)
+                           right_suffix=right_suffix, coalesce_keys=True)
         return joined.select(out_names)
 
     return unioned.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")

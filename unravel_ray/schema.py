@@ -116,6 +116,12 @@ WORKUNIT_SCHEMA = pa.schema(
 # exact recompute from source.
 SPLIT_MARKER_STATUS = "__split__"
 
+# Reserved int32 column a caller may add to DOCS rows (the checkpointed
+# files variant tags each doc with its partition id). explode_extract and
+# finalize_block carry it through as a doc-constant passthrough, appended
+# after the schema's own columns and only when the input has it.
+PARTITION_TAG = "__partition_id"
+
 # Quarantine table — the DLQ analog (SURVEY.md §2.9): rows that a stage
 # failed on, with the DLQ-header fields the reference attaches
 # (brokers/kafka/handler/KafkaErrorHandler.java:243-266).

@@ -34,8 +34,18 @@ from .html_extract import extract_html_spans, split_plain_text
 from .pages import PageSelectionError, resolve_pages
 from .pdftext import join_direct, join_ocr, needs_ocr_mode
 from .providers import ProviderRegistry
-from .schema import EXTRACTED_SCHEMA, SPLIT_MARKER_STATUS, WORKUNIT_SCHEMA
+from .schema import (EXTRACTED_SCHEMA, PARTITION_TAG, SPLIT_MARKER_STATUS,
+                     WORKUNIT_SCHEMA)
 from .validate import ALLOWED_MIMES, SINGLE_FILE_MAX_BYTES
+
+
+def _carry_tag(out: pa.Table, batch: pa.Table, take_idx) -> pa.Table:
+    """Append ``batch``'s PARTITION_TAG column, taken at ``take_idx``, when
+    the input has it; other callers get ``out`` (exactly its schema)."""
+    if PARTITION_TAG not in batch.column_names:
+        return out
+    return out.append_column(PARTITION_TAG, pc.take(batch[PARTITION_TAG], take_idx))
+
 
 class _ExplodeBuilder:
     """Column-wise work-unit builder. Unit-varying fields are Python lists;
@@ -116,7 +126,7 @@ class _ExplodeBuilder:
         def per_doc(values, typ):
             return pc.take(pa.array(values, typ), parent)
 
-        return pa.Table.from_arrays(
+        out = pa.Table.from_arrays(
             [
                 doc_col("doc_id"),
                 doc_col("collection_id"),
@@ -137,6 +147,7 @@ class _ExplodeBuilder:
             ],
             schema=WORKUNIT_SCHEMA,
         )
+        return _carry_tag(out, batch, parent)
 
 
 def explode_extract(batch: pa.Table) -> pa.Table:
@@ -546,7 +557,8 @@ def finalize_block(batch: pa.Table) -> pa.Table:
     """
     n = batch.num_rows
     if n == 0:
-        return EXTRACTED_SCHEMA.empty_table()
+        return _carry_tag(EXTRACTED_SCHEMA.empty_table(), batch,
+                          pa.array([], pa.int64()))
     cols = set(batch.column_names)
 
     codes = pc.dictionary_encode(
@@ -719,7 +731,7 @@ def finalize_block(batch: pa.Table) -> pa.Table:
     n_spans = np.diff(span_offsets).astype(np.int32)
     meta_col = (pc.take(batch["metadata"], take_starts)
                 if "metadata" in cols else pa.nulls(n_runs, pa.string()))
-    return pa.Table.from_arrays(
+    out = pa.Table.from_arrays(
         [
             pc.take(batch["doc_id"], take_starts),
             pc.take(batch["collection_id"], take_starts),
@@ -735,6 +747,7 @@ def finalize_block(batch: pa.Table) -> pa.Table:
         ],
         schema=EXTRACTED_SCHEMA,
     )
+    return _carry_tag(out, batch, take_starts)
 
 
 def _dense_offsets(span_offsets: np.ndarray) -> np.ndarray:
