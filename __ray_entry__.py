@@ -36,6 +36,17 @@ def entry() -> Any:
 # queries
 # ---------------------------------------------------------------------------
 
+def _read_documents(sf_dir: str, columns: list[str]):
+    """documents.parquet is one row group: split it into 16 blocks at read
+    time so the Python stages after it run in parallel. Ray plans this as
+    ReadParquet->SplitBlocks(16), which fuses into the next map — no
+    repartition barrier — and keeps row order."""
+    import ray.data
+
+    return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                 columns=columns, override_num_blocks=16)
+
+
 def _flagship_extract(sf_dir: str):
     from unravel_ray.pipeline import run_flagship
 
@@ -60,13 +71,9 @@ def _dedup_exact(sf_dir: str):
 
 
 def _minhash_pairs(sf_dir: str):
-    import ray.data
-
     from unravel_ray.dedup import minhash_candidate_pairs
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)  # single-row-group file -> split for the python stage
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return minhash_candidate_pairs(ds, threshold=0.5)
 
 
@@ -74,25 +81,17 @@ def _jaccard_pairs(sf_dir: str):
     """n-gram Jaccard near-dup: LSH candidates verified by EXACT distinct
     shingle-hash-set Jaccard (integer micros — the SQL-reproducible form
     of ngram_jaccard)."""
-    import ray.data
-
     from unravel_ray.dedup import jaccard_verified_pairs, minhash_candidate_pairs
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     pairs = minhash_candidate_pairs(ds, threshold=0.5)
     return jaccard_verified_pairs(ds, pairs, threshold_micros=500_000)
 
 
 def _simhash_pairs(sf_dir: str):
-    import ray.data
-
     from unravel_ray.dedup import simhash_buckets
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return simhash_buckets(ds, max_hamming=6)
 
 
@@ -196,37 +195,25 @@ def _ivf_index_topk(sf_dir: str):
 
 
 def _lang_distribution(sf_dir: str):
-    import ray.data
-
     from unravel_ray.textstats import lang_distribution
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return lang_distribution(ds)
 
 
 def _quality_scores(sf_dir: str):
-    import ray.data
-
     from unravel_ray.textstats import QualityStage
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return ds.map_batches(QualityStage, batch_format="pyarrow", concurrency=2).select_columns(
         ["doc_id", "n_words", "n_punct", "n_stopwords", "quality_score_micros"]
     )
 
 
 def _fingerprints(sf_dir: str):
-    import ray.data
-
     from unravel_ray.textstats import fingerprints
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return fingerprints(ds)
 
 
@@ -234,37 +221,25 @@ def _pack_sequences(sf_dir: str):
     """LLM training-sample packing: global running token offsets via the
     two-level segment scan (no global sort), docs assigned to fixed
     seq_len packs."""
-    import ray.data
-
     from unravel_ray.textstats import pack_sequences
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return pack_sequences(ds)
 
 
 def _vocab_top_words(sf_dir: str):
-    import ray.data
-
     from unravel_ray.textstats import vocab_top_words
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["text"])
     return vocab_top_words(ds)
 
 
 def _heavy_hitter_words(sf_dir: str):
     """Exact >= min_count word frequencies via Misra-Gries candidate
     sketch + exact recount verify (sketch.heavy_hitter_words)."""
-    import ray.data
-
     from unravel_ray.sketch import heavy_hitter_words
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["text"])
     return heavy_hitter_words(ds, min_count=900, k=512)
 
 
@@ -471,13 +446,9 @@ def _extraction_confidence(sf_dir: str):
 
 
 def _minhash_clusters(sf_dir: str):
-    import ray.data
-
     from unravel_ray.dedup import minhash_dedup
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return minhash_dedup(ds, threshold=0.5)
 
 
@@ -526,13 +497,9 @@ def _distinct_users_hll(sf_dir: str):
 
 
 def _inverted_index(sf_dir: str):
-    import ray.data
-
     from unravel_ray.textstats import inverted_index
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return inverted_index(ds)
 
 
@@ -563,13 +530,9 @@ def _bloom_semijoin(sf_dir: str):
 def _gopher_quality(sf_dir: str):
     """Gopher-style repetition filters (duplicate-word mass, top-2-gram
     character coverage, keep flag) — exact integer micro-ratios."""
-    import ray.data
-
     from unravel_ray.textstats import gopher_quality
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return gopher_quality(ds).select_columns([
         "doc_id", "n_words", "n_distinct_words", "dup_word_frac_micros",
         "top_bigram", "top_bigram_cnt", "top_bigram_frac_micros",
@@ -579,13 +542,9 @@ def _gopher_quality(sf_dir: str):
 def _decontaminate(sf_dir: str):
     """Benchmark decontamination: 3-gram overlap of training docs
     (doc_id % 50 != 0) against the broadcast eval shingle set."""
-    import ray.data
-
     from unravel_ray.textstats import decontaminate
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return decontaminate(ds, eval_mod=50, n=3)
 
 
@@ -593,26 +552,18 @@ def _dup_passages(sf_dir: str):
     """Cross-doc duplicate-passage detection (Lee et al. 2021 exact
     substring dedup at 5-word-window granularity): per-doc removable
     duplicate-window counts + exact micro-fraction."""
-    import ray.data
-
     from unravel_ray.textstats import dup_passages
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text"])
     return dup_passages(ds, k=5)
 
 
 def _domain_mixture(sf_dir: str):
     """Per-source token budgets -> proportional and sqrt-tempered
     sampling weights (domain-mixture reweighting), exact micros."""
-    import ray.data
-
     from unravel_ray.textstats import domain_mixture
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["source", "text"])
     return domain_mixture(ds)
 
 
@@ -629,13 +580,9 @@ def _sample_to_budget(sf_dir: str):
     """Budgeted domain sampling: sqrt-tempered mixture weights applied as
     per-source doc selection to a 100k-token corpus budget (hierarchical
     segment-prefix fold — no global sort, no driver row data)."""
-    import ray.data
-
     from unravel_ray.textstats import sample_to_budget
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text", "source"])
     return sample_to_budget(ds, total_tokens=100_000)
 
 
@@ -652,13 +599,9 @@ def _curate_corpus(sf_dir: str):
     """Composed curation pipeline: Gopher gate -> split assignment ->
     exact-dedup keep-first -> per-(split, source) corpus-card accounting,
     one lazy chain with only slim-row shuffles."""
-    import ray.data
-
     from unravel_ray.textstats import curate_corpus
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["doc_id", "text", "source"])
     return curate_corpus(ds)
 
 
@@ -667,13 +610,9 @@ def _size_quantile_sketch(sf_dir: str):
     log-bucket histogram sketch (<= 12.5% relative error; shuffle payload
     independent of row count — the at-scale percentile path next to the
     exact doc_size_percentiles)."""
-    import ray.data
-
     from unravel_ray.sketch import quantile_sketch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    ).repartition(16)
+    ds = _read_documents(sf_dir, ["lang", "n_chars"])
     return quantile_sketch(ds, value_col="n_chars", group_col="lang")
 
 

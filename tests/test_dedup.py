@@ -305,6 +305,26 @@ def test_distributed_components_random_graph_matches_union_find(ray_session):
     assert got == want
 
 
+def test_distributed_components_label_blocks_do_not_grow(ray_session):
+    """Each round's shuffles write a fixed partition count, so the labels'
+    block count does not grow with the rounds: labels that took one
+    changing round and labels that took twelve (a chain with its min id at
+    one end) come back in the same number of blocks as the edge input."""
+    from unravel_ray.dedup import propagate_min_labels_distributed
+
+    def labels(edges):
+        ds = ray.data.from_items([{"a": a, "b": b} for a, b in edges],
+                                 override_num_blocks=4).materialize()
+        out = propagate_min_labels_distributed(ds).materialize()
+        return out.num_blocks(), {r["node"]: r["label"] for r in out.take_all()}
+
+    pairs_blocks, pairs = labels([(1, 2), (3, 4), (5, 6), (7, 8)])
+    chain_blocks, chain = labels([(i, i + 1) for i in range(12)])
+    assert pairs == {1: 1, 2: 1, 3: 3, 4: 3, 5: 5, 6: 5, 7: 7, 8: 7}
+    assert chain == {i: 0 for i in range(13)}
+    assert pairs_blocks == chain_blocks == 4
+
+
 def test_embedding_neardup_bucketed_matches_broadcast(ray_session):
     """High-threshold regime: the LSH-banded path must find the same pairs
     the exact broadcast path finds on clustered vectors."""
@@ -349,34 +369,138 @@ def test_embedding_neardup_degrades_to_bucketed(ray_session):
     assert (0, 1) in pairs  # near-identical vectors found via buckets
 
 
-def test_blocked_grouping_matches_per_bucket_reference(ray_session):
-    """The fixed-block grouping (crc32(band_hash) % n_blocks +
-    equal-hash-run recovery) must produce the identical verified pair set
-    as grouping by the raw (band, band_hash) bucket key."""
+def _two_shuffle_minhash_pairs(ds, threshold, num_perm=64, bands=16):
+    """The pre-exactly-once plan, kept here as the reference: one Ray group
+    per raw (band, band_hash) bucket, per-pair Python inside it, then a
+    second (a, b) shuffle whose Min collapses pairs found in several
+    bands."""
     from ray.data.aggregate import Min
 
-    from unravel_ray.dedup import (
-        MinHashStage,
-        _bucket_pairs,
-        minhash_candidate_pairs,
-    )
+    from unravel_ray.dedup import MinHashStage
 
+    def bucket_pairs(group):
+        ids = group["id"].to_pylist()
+        sigs = [np.frombuffer(x, dtype=np.int64) for x in group["sig"].to_pylist()]
+        uniq = sorted({d: i for i, d in reversed(list(enumerate(ids)))}.items())
+        a_o, b_o, j_o = [], [], []
+        for x in range(len(uniq)):
+            for y in range(x + 1, len(uniq)):
+                est = float(np.mean(sigs[uniq[x][1]] == sigs[uniq[y][1]]))
+                if est >= threshold:
+                    a_o.append(uniq[x][0])
+                    b_o.append(uniq[y][0])
+                    j_o.append(round(est, 6))
+        return pa.table({"a": pa.array(a_o, pa.int64()),
+                         "b": pa.array(b_o, pa.int64()),
+                         "est_jaccard": pa.array(j_o, pa.float64())})
+
+    banded = ds.map_batches(
+        MinHashStage, fn_constructor_kwargs=dict(num_perm=num_perm, bands=bands),
+        batch_format="pyarrow", concurrency=2)
+    return (banded.groupby(["band", "band_hash"])
+            .map_groups(bucket_pairs, batch_format="pyarrow")
+            .groupby(["a", "b"])
+            .aggregate(Min("est_jaccard", alias_name="est_jaccard")))
+
+
+def _pair_rows(ds, cols):
+    return sorted(tuple(r[c] for c in cols) for r in ds.take_all())
+
+
+def test_blocked_grouping_matches_per_bucket_reference(ray_session):
+    """The fixed-block grouping (band_hash % n_blocks + equal-hash-run
+    recovery + lowest-band emission) must produce exactly the rows — no
+    duplicated (a, b) — of grouping by the raw (band, band_hash) bucket
+    key and collapsing repeats in a second shuffle."""
     rows = [{"doc_id": i, "text": BASE if i % 3 == 0 else (NEAR if i % 3 == 1 else OTHER)}
             for i in range(30)]
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows)).repartition(4)
 
-    got = {(r["a"], r["b"], r["est_jaccard"])
-           for r in minhash_candidate_pairs(ds, threshold=0.5).take_all()}
-
-    banded = ds.map_batches(
-        MinHashStage, fn_constructor_kwargs=dict(num_perm=64, bands=16),
-        batch_format="pyarrow", concurrency=2)
-    ref_pairs = banded.groupby(["band", "band_hash"]).map_groups(
-        lambda g: _bucket_pairs(g, 0.5), batch_format="pyarrow")
-    ref = {(r["a"], r["b"], r["est_jaccard"])
-           for r in ref_pairs.groupby(["a", "b"])
-           .aggregate(Min("est_jaccard", alias_name="est_jaccard")).take_all()}
+    cols = ("a", "b", "est_jaccard")
+    got = _pair_rows(minhash_candidate_pairs(ds, threshold=0.5), cols)
+    ref = _pair_rows(_two_shuffle_minhash_pairs(ds, 0.5), cols)
     assert got == ref and got  # identical, and non-empty (planted dups)
+
+
+def _near_dup_families(seed, n_families=12, members=5, n_noise=20):
+    """Seeded corpus of near-dup families: each member is its family's
+    base text with a few words swapped, so members collide in several LSH
+    bands and several simhash tables; exact copies and unrelated docs mix
+    in. Ids are shuffled so family order says nothing about id order."""
+    rng = np.random.RandomState(seed)
+    vocab = [f"w{i}" for i in range(400)]
+    texts = []
+    for _ in range(n_families):
+        base = list(rng.choice(vocab, size=60))
+        for m in range(members):
+            doc = list(base)
+            for pos in rng.choice(len(doc), size=m, replace=False):
+                doc[pos] = vocab[rng.randint(len(vocab))]
+            texts.append(" ".join(doc))
+        texts.append(" ".join(base))  # exact copy of the family base
+    texts += [" ".join(rng.choice(vocab, size=60)) for _ in range(n_noise)]
+    ids = rng.permutation(len(texts)) * 7 + 3
+    return [{"doc_id": int(i), "text": t} for i, t in zip(ids, texts)]
+
+
+def test_lsh_pairs_exactly_once_matches_two_shuffle_plan(ray_session):
+    """Randomized differential: families that collide in many bands must
+    give, row for row, the old two-shuffle plan's output for MinHash, and
+    the brute-force all-pairs scan for SimHash — each pair exactly once."""
+    from unravel_ray.dedup import MinHashStage, simhash62
+
+    rows = _near_dup_families(seed=11)
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows)).repartition(5)
+
+    # the data must actually exercise the rule: some pair shares >1 band
+    t = MinHashStage()(pa.Table.from_pylist(rows))
+    per_bucket = {}
+    for bnd, bh, i in zip(t["band"].to_pylist(), t["band_hash"].to_pylist(),
+                          t["id"].to_pylist()):
+        per_bucket.setdefault((bnd, bh), []).append(i)
+    shared = {}
+    for members in per_bucket.values():
+        for x in members:
+            for y in members:
+                if x < y:
+                    shared[(x, y)] = shared.get((x, y), 0) + 1
+    assert max(shared.values()) > 1
+
+    for threshold in (0.3, 0.7):
+        cols = ("a", "b", "est_jaccard")
+        got = _pair_rows(minhash_candidate_pairs(ds, threshold=threshold), cols)
+        ref = _pair_rows(_two_shuffle_minhash_pairs(ds, threshold), cols)
+        assert got == ref and got
+
+    hs = {r["doc_id"]: simhash62(r["text"]) for r in rows}
+    want = sorted((a, b, bin(hs[a] ^ hs[b]).count("1"))
+                  for a in hs for b in hs
+                  if a < b and bin(hs[a] ^ hs[b]).count("1") <= 6)
+    got = _pair_rows(simhash_buckets(ds, max_hamming=6), ("a", "b", "hamming"))
+    assert got == want and got
+
+
+def test_exact_dedup_matches_python_min_id_per_md5(ray_session):
+    """Combiner-first exact dedup equals a pure-Python min id per md5,
+    with NULL (its own '__null__' group) and empty strings (md5 of '')
+    kept apart, across several input blocks."""
+    import hashlib
+
+    rng = np.random.RandomState(5)
+    pool = [None, "", "alpha", "beta", "alpha ", "gamma delta", "ünïcode"]
+    texts = [pool[i] for i in rng.randint(len(pool), size=200)]
+    ids = rng.permutation(200) + 1000
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array(texts, pa.string())})).repartition(6)
+
+    want = {}
+    for d, t in zip(ids.tolist(), texts):
+        h = "__null__" if t is None else hashlib.md5(t.encode("utf-8")).hexdigest()
+        want[h] = min(d, want.get(h, d))
+    got = _pair_rows(exact_dedup(ds), ("text_hash", "doc_id"))
+    assert got == sorted(want.items())
+    assert "__null__" in want and hashlib.md5(b"").hexdigest() in want
 
 
 def test_simhash_blocked_matches_bruteforce(ray_session):
@@ -389,14 +513,13 @@ def test_simhash_blocked_matches_bruteforce(ray_session):
              for i in range(24)}
     ds = ray.data.from_arrow(pa.Table.from_pylist(
         [{"doc_id": i, "text": t} for i, t in texts.items()])).repartition(4)
-    got = {(r["a"], r["b"], r["hamming"])
-           for r in simhash_buckets(ds, max_hamming=6).take_all()}
+    got = _pair_rows(simhash_buckets(ds, max_hamming=6), ("a", "b", "hamming"))
     hs = {i: simhash62(t) for i, t in texts.items()}
-    want = set()
+    want = []
     for a in texts:
         for b in texts:
             if a < b:
                 ham = bin(hs[a] ^ hs[b]).count("1")
                 if ham <= 6:
-                    want.add((a, b, ham))
-    assert got == want and got
+                    want.append((a, b, ham))
+    assert got == sorted(want) and got

@@ -111,9 +111,9 @@ def test_priority_window_contains_new_and_core_queries():
     first 50; only entries driver-green on unchanged code may fall past
     the window (round-5 sacrifices: audio_features, frame_sample,
     export_docx, table_stats, lsh_topk, ivf_topk, ivf_index_topk,
-    jaccard_pairs, dataset_splits, search_fuzzy, lang_distribution — all
-    green in CORRECTNESS_r04; the last three were swapped out late in
-    round 5 for the rewritten event_hourly_windows, lineitem_pricing and
+    dataset_splits, search_fuzzy, lang_distribution — all green in
+    CORRECTNESS_r04; the last three were swapped out late in round 5 for
+    the rewritten event_hourly_windows, lineitem_pricing and
     user_event_totals)."""
     import __ray_entry__ as e
 
@@ -128,6 +128,9 @@ def test_priority_window_contains_new_and_core_queries():
         # storage_reconcile null assert, event_props_stats regex,
         # hash_strings chunking (string-key joins)
         "minhash_pairs", "minhash_clusters", "simhash_pairs",
+        # exactly-once LSH emission, combiner-first exact dedup and the
+        # read-from-materialized candidate verify
+        "jaccard_pairs", "dedup_exact",
         "fingerprints", "heavy_hitter_words", "storage_reconcile",
         "user_sliding_window", "user_running_totals", "event_props_stats",
         "orders_customer_join", "extract_then_neardup",

@@ -135,17 +135,19 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
 # G4 — per-user accounting (events)
 # ---------------------------------------------------------------------------
 
-def _keyed_sum_fold(group: pa.Table, keys: list[str], sums: list[str],
-                    out_names: list[str]) -> pa.Table:
+def _keyed_fold(group: pa.Table, keys: list[str], aggs: list[tuple[str, str]],
+                out_names: list[str]) -> pa.Table:
     """Shared merge step of the fixed hash-block aggregate family
-    (user_event_totals, event_hourly_windows): drop the block key, one
-    Arrow group_by summing ``sums``, emit keys then int64 sums renamed to
-    ``out_names`` — factored so the two folds cannot drift (r5 review)."""
+    (user_event_totals, event_hourly_windows, dedup.exact_dedup): drop the
+    block key, one Arrow group_by applying each ``(column, function)`` of
+    ``aggs``, emit keys then the results renamed to ``out_names`` (sums
+    cast to int64) — factored so the folds cannot drift (r5 review)."""
     t = group.drop_columns(["__blk"])
-    g = pa.TableGroupBy(t, keys).aggregate([(c, "sum") for c in sums])
+    g = pa.TableGroupBy(t, keys).aggregate(aggs)
     cols = {k: g[k] for k in keys}
-    for c, name in zip(sums, out_names):
-        cols[name] = pc.cast(g[f"{c}_sum"], pa.int64())
+    for (c, fn), name in zip(aggs, out_names):
+        col = g[f"{c}_{fn}"]
+        cols[name] = pc.cast(col, pa.int64()) if fn == "sum" else col
     return pa.table(cols)
 
 
@@ -172,8 +174,9 @@ def user_event_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
         return g.append_column("__blk", _blk_int(g["user_id"], n_blocks))
 
     def fold(group: pa.Table) -> pa.Table:
-        return _keyed_sum_fold(group, ["user_id"], ["n", "value_cents"],
-                               ["n_events", "value_cents"])
+        return _keyed_fold(group, ["user_id"],
+                           [("n", "sum"), ("value_cents", "sum")],
+                           ["n_events", "value_cents"])
 
     return (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
             .groupby("__blk").map_groups(fold, batch_format="pyarrow"))
@@ -857,9 +860,9 @@ def event_hourly_windows(sf_dir: str, n_blocks: int = 64) -> Dataset:
         return g.append_column("__blk", _blk_int(g["user_id"], n_blocks))
 
     def fold(group: pa.Table) -> pa.Table:
-        return _keyed_sum_fold(group, ["user_id", "window_start"],
-                               ["n", "value_cents"],
-                               ["n_events", "value_cents"])
+        return _keyed_fold(group, ["user_id", "window_start"],
+                           [("n", "sum"), ("value_cents", "sum")],
+                           ["n_events", "value_cents"])
 
     return (ds.map_batches(windowize_partial, batch_format="pyarrow",
                            batch_size=None)  # whole-block partials
