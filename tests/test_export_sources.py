@@ -147,7 +147,7 @@ def test_hash_join_full_right_outer(ray_session):
     unmatched, and null keys never match (SQL semantics) — they surface
     unmatched from whatever bucket their placement hash chose.
     Differential vs DuckDB on randomized duplicate-key + null-key
-    tables."""
+    tables, for all six modes, with probed and caller-given schemas."""
     import duckdb
     import numpy as np
     import pytest
@@ -173,13 +173,24 @@ def test_hash_join_full_right_outer(ray_session):
         return sorted((-1 if k is None else k, -1 if v is None else v,
                        -1 if w is None else w) for k, v, w in rows)
 
-    for how, sql_kw in (("full", "FULL OUTER"), ("right", "RIGHT")):
-        got = hash_join(ray.data.from_arrow(ltab), ray.data.from_arrow(rtab),
-                        on="k", how=how).take_all()
-        want = con.execute(
-            f"SELECT COALESCE(l.k, r.k) AS k, l.v, r.w "
-            f"FROM l {sql_kw} JOIN r ON l.k = r.k").fetchall()
-        assert canon((g["k"], g["v"], g["w"]) for g in got) == canon(want), how
+    # every mode, with the side schemas probed from the plan and passed
+    # in by the caller (schemas=): both must equal DuckDB
+    modes = {"inner": "SELECT l.k, l.v, r.w FROM l JOIN r",
+             "left": "SELECT l.k, l.v, r.w FROM l LEFT JOIN r",
+             "semi": "SELECT l.k, l.v, NULL FROM l SEMI JOIN r",
+             "anti": "SELECT l.k, l.v, NULL FROM l ANTI JOIN r",
+             "right": "SELECT COALESCE(l.k, r.k) AS k, l.v, r.w "
+                      "FROM l RIGHT JOIN r",
+             "full": "SELECT COALESCE(l.k, r.k) AS k, l.v, r.w "
+                     "FROM l FULL OUTER JOIN r"}
+    for how, sql in modes.items():
+        want = canon(con.execute(f"{sql} ON l.k = r.k").fetchall())
+        for schemas in (None, (ltab.schema, rtab.schema)):
+            got = hash_join(ray.data.from_arrow(ltab),
+                            ray.data.from_arrow(rtab), on="k", how=how,
+                            schemas=schemas).take_all()
+            assert canon((g["k"], g["v"], g.get("w")) for g in got) == want, \
+                (how, schemas is not None)
 
     # build-side salting replicates hot rows -> invalid under right/full
     with pytest.raises(ValueError):
@@ -198,6 +209,110 @@ def test_hash_join_full_right_outer(ray_session):
     assert ("", 1, 10) in rows          # empty matches empty
     assert len(rows) == 5               # 1 match + 2 null-key + a/b unmatched
     assert all(not (v and w) for k, v, w in rows if k is None)
+
+
+def _block_table(keys, n_blocks):
+    """(k, v, blk) rows: blk = k % n_blocks, v a distinct value per row."""
+    import numpy as np
+
+    k = np.asarray(keys, np.int64)
+    return pa.table({"k": k, "v": np.arange(k.size, dtype=np.int64) * 7,
+                     "blk": (k % n_blocks).astype(np.int32)})
+
+
+def _keyed_sums():
+    """A union-safe kernel (groups by its own key). It refuses empty or
+    schema-less input, which block_exchange must never hand it. Built in
+    a function so Ray ships it by value, not as a test-module import."""
+    def keyed_sums(t: pa.Table) -> pa.Table:
+        assert t.num_rows and "blk" in t.column_names
+        return pa.TableGroupBy(t, "k").aggregate(
+            [("v", "sum"), ([], "count_all")])
+    return keyed_sums
+
+
+def _rows(ds) -> list:
+    return sorted(tuple(r.values()) for r in ds.take_all())
+
+
+def test_block_exchange_matches_per_group_plan(ray_session):
+    """block_exchange returns, row for row, what the groupby(key) +
+    map_groups plan it replaced returns: with more partitions than block
+    ids present (empty partitions never reach the kernel), with n_blocks
+    below the session's 4 CPUs, and with several block ids per
+    partition."""
+    import numpy as np
+
+    from unravel_ray.relational import block_exchange, exchange_partitions
+
+    rng = np.random.default_rng(5)
+    cases = {
+        # 64 block ids over 4 partitions; only ids 0 and 1 carry rows
+        "empty_partitions": (64, rng.choice([0, 1, 64, 65, 129], 300)),
+        "fewer_blocks_than_cpus": (2, rng.integers(0, 50, 300)),
+        "several_ids_per_partition": (64, rng.integers(0, 500, 2000)),
+    }
+    assert exchange_partitions(64) == 4 and exchange_partitions(2) == 2
+    for name, (n_blocks, keys) in cases.items():
+        tbl = _block_table(keys, n_blocks)
+        ds = ray.data.from_arrow([tbl.slice(0, 100), tbl.slice(100)])
+        want = ds.groupby("blk").map_groups(_keyed_sums(),
+                                            batch_format="pyarrow")
+        got = block_exchange(ds, "blk", n_blocks, _keyed_sums())
+        assert _rows(got) == _rows(want), name
+
+    def ids_seen(t: pa.Table) -> pa.Table:
+        return pa.table({"n_ids": [len(set(t["blk"].to_pylist()))],
+                         "n_rows": [t.num_rows]})
+
+    tbl = _block_table(cases["several_ids_per_partition"][1], 64)
+    calls = block_exchange(ray.data.from_arrow(tbl), "blk", 64,
+                           ids_seen).take_all()
+    # one call per non-empty partition, each with whole block-id groups
+    assert len(calls) == 4
+    assert sum(c["n_rows"] for c in calls) == tbl.num_rows
+    assert sum(c["n_ids"] for c in calls) == len(set(tbl["blk"].to_pylist()))
+    assert all(c["n_ids"] > 1 for c in calls)
+    # an explicit partition count of 1 still runs one exchange, unsampled
+    one = block_exchange(ray.data.from_arrow(tbl), "blk", 64, ids_seen,
+                         n_partitions=1).take_all()
+    assert [c["n_rows"] for c in one] == [tbl.num_rows]
+
+
+def test_block_exchange_empty_input(ray_session):
+    """An input with no rows gives no kernel call and no rows."""
+    from unravel_ray.relational import block_exchange
+
+    empty = _block_table([], 8)
+    assert block_exchange(ray.data.from_arrow(empty), "blk", 8,
+                          _keyed_sums()).take_all() == []
+
+
+def test_orders_cust_side_schemas_match_probe(ray_session, tmp_path):
+    """The side schemas _orders_cust_sides derives from the parquet
+    footers (no Ray execution) equal what a schema() probe of each side's
+    plan returns, for the plain and the filtered variant."""
+    import pyarrow.parquet as pq
+
+    from unravel_ray.relational import _orders_cust_sides
+
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([1, 2, 3], pa.int64()),
+        "o_custkey": pa.array([10, 11, 10], pa.int64()),
+        "o_orderstatus": ["O", "F", "P"],
+        "o_totalprice": [1.5, 2.25, 3.0],
+        "o_orderpriority": ["1-URGENT", "2-HIGH", "1-URGENT"],
+    }), tmp_path / "orders.parquet")
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([10, 11], pa.int64()),
+        "c_name": ["a", "b"],
+        "c_mktsegment": ["BUILDING", "MACHINERY"],
+    }), tmp_path / "customer.parquet")
+    for kw in ({}, {"priority": "1-URGENT", "segment": "BUILDING"}):
+        orders, cust, schemas = _orders_cust_sides(str(tmp_path), **kw)
+        probed = [d.schema().base_schema for d in (orders, cust)]
+        assert [s.remove_metadata() for s in schemas] == \
+            [s.remove_metadata() for s in probed], kw
 
 
 def test_asof_join_semantics(ray_session):

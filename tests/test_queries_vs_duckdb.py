@@ -147,6 +147,11 @@ def test_priority_window_contains_new_and_core_queries():
         "sample_to_budget", "size_quantile_sketch",
         "bloom_semijoin", "distinct_users_hll",
         "inverted_index", "tfidf_rank",
+        # block_exchange rewrite: combiner-first aggregate, hash_join's
+        # exchange and footer-derived side schemas, build_rollup
+        # (flagship_rollup is already required above)
+        "word_counts_by_lang", "customers_without_orders",
+        "orders_customer_full_join",
     }
     missing = must_be_inside - window
     assert not missing, f"outside the 50-entry driver window: {sorted(missing)}"

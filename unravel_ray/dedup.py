@@ -5,15 +5,19 @@ The reference only has exact dedup-by-key (D1: UNIQUE(document_id),
 ExtractTextFromDocumentImpl.java:50-54); the near-dup family is the
 training-data-pipeline extension the engine needs at 100 TB.
 
-Scale design — each query is ONE exchange of slim rows, never text:
+Scale design — each query is ONE exchange of slim rows, never text, and
+every exchange is ``relational.block_exchange`` over a fixed hash-block
+id (explicit cut points, one kernel call per reduce partition):
 * Exact dedup: content hash + per-block Arrow min-id-per-hash partials,
-  then a fixed hash block of the hash and one Arrow group_by per block.
+  then a fixed hash block of the hash and one Arrow group_by per reduce
+  partition.
 * MinHash-LSH: signatures per batch (numpy-vectorized), explode to
-  (band, band_hash, id, sig) rows, shuffle by band_hash % n_blocks —
-  equal-(band, band_hash) runs are recovered inside each block and
-  verified there (signature-estimated Jaccard), so only bucketed rows
-  shuffle, no pairwise all-to-all. A pair colliding in several bands is
-  emitted only from its lowest colliding band, so no (a, b) dedup pass.
+  (band, band_hash, id, sig) rows, exchange by band_hash % n_blocks —
+  equal-(band, band_hash) runs are recovered inside each reduce
+  partition and verified there (signature-estimated Jaccard), so only
+  bucketed rows shuffle, no pairwise all-to-all. A pair colliding in
+  several bands is emitted only from its lowest colliding band, so no
+  (a, b) dedup pass.
 * SimHash: the same shape and emission rule over pigeonhole tables.
 * Connected components: driver union-find while the candidate pair set is
   small (max_pairs guard); past the guard minhash_dedup auto-degrades to
@@ -92,10 +96,10 @@ def exact_dedup(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> 
 
     Combiner-first: each block hashes its texts and keeps the min id per
     hash with one Arrow group_by, so at most one row per (hash, block)
-    shuffles; the partials move by a fixed hash block of the text hash and
-    fold with one Arrow group_by per block (relational._keyed_fold)."""
-    from .hashing import hash_strings
-    from .relational import _keyed_fold
+    shuffles; the partials move by a fixed hash block of the text hash
+    (relational.block_exchange) and fold with one Arrow group_by per
+    reduce partition (relational._keyed_fold)."""
+    from .relational import _blk_str, _keyed_fold, block_exchange
 
     n_blocks = 64
 
@@ -109,15 +113,15 @@ def exact_dedup(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> 
         )
         g = pa.TableGroupBy(pa.table({"text_hash": hashes, id_col: batch[id_col]}),
                             "text_hash").aggregate([(id_col, "min")])
-        blk = hash_strings(g["text_hash"]) % np.uint64(n_blocks)
         return pa.table({"text_hash": g["text_hash"], id_col: g[f"{id_col}_min"],
-                         "__blk": pa.array(blk.astype(np.int32))})
+                         "__blk": _blk_str(g["text_hash"], n_blocks)})
 
     def fold(group: pa.Table) -> pa.Table:
         return _keyed_fold(group, ["text_hash"], [(id_col, "min")], [id_col])
 
-    return (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby("__blk").map_groups(fold, batch_format="pyarrow"))
+    return block_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        "__blk", n_blocks, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +353,8 @@ def _band_hashes(sigs: np.ndarray, bands: int) -> np.ndarray:
 
 def _blocked_bucket_pairs(group: pa.Table, threshold: float,
                           bands: int) -> pa.Table:
-    """Candidate verification for ONE hash block holding MANY LSH buckets:
+    """Candidate verification for one reduce partition holding MANY LSH
+    buckets (whole hash blocks):
     equal-(band, band_hash) runs (`_run_pairs`), each pair emitted only
     from its lowest colliding band (`_first_collision`), then the
     signature-estimated Jaccard (fraction of equal minhash components)
@@ -387,11 +392,12 @@ def minhash_candidate_pairs(ds: Dataset, threshold: float = 0.8, num_perm: int =
                             n_blocks: int = 64) -> Dataset:
     """Near-duplicate candidate pairs (a < b) with estimated Jaccard >= threshold.
 
-    ONE exchange: the shuffle key is band_hash % n_blocks — a FIXED group
-    count — not the raw (band, band_hash): rows of the same LSH bucket
-    still co-locate (equal hash -> equal block), but per-group scheduling
-    no longer scales with docs x bands; equal-hash runs are recovered
-    vectorized inside each block (_blocked_bucket_pairs). A pair whose
+    ONE exchange (relational.block_exchange): the key is
+    band_hash % n_blocks — a FIXED block count — not the raw (band,
+    band_hash): rows of the same LSH bucket still co-locate (equal hash
+    -> equal block), but scheduling no longer scales with docs x bands;
+    equal-hash runs are recovered vectorized inside each reduce
+    partition (_blocked_bucket_pairs). A pair whose
     docs collide in several bands is emitted only from the lowest of them
     (its band hashes are recomputed from the ``sig`` each row carries),
     so every pair comes out exactly once with no second (a, b) shuffle —
@@ -404,6 +410,8 @@ def minhash_candidate_pairs(ds: Dataset, threshold: float = 0.8, num_perm: int =
     # at 32 CPUs (measured; see ai.enrich for the same pattern). The
     # ``concurrency`` param is kept for callers that want an explicit pool
     # (heavy custom stages).
+    from .relational import block_exchange
+
     key = (num_perm, bands, text_col, id_col)
 
     def sign_task(batch: pa.Table) -> pa.Table:
@@ -430,12 +438,11 @@ def minhash_candidate_pairs(ds: Dataset, threshold: float = 0.8, num_perm: int =
         blocks = t["band_hash"].to_numpy(zero_copy_only=False) % n_blocks
         return t.append_column("block", pa.array(blocks.astype(np.int32)))
 
-    return (
-        banded.map_batches(add_block, batch_format="pyarrow")
-        .groupby("block")
-        .map_groups(lambda g: _blocked_bucket_pairs(g, threshold, bands),
-                    batch_format="pyarrow")
-    )
+    def block_pairs(group: pa.Table) -> pa.Table:
+        return _blocked_bucket_pairs(group, threshold, bands)
+
+    return block_exchange(banded.map_batches(add_block, batch_format="pyarrow"),
+                          "block", n_blocks, block_pairs)
 
 
 def minhash_dedup(ds: Dataset, threshold: float = 0.8,
@@ -584,12 +591,15 @@ def simhash_buckets(ds: Dataset, n_tables: int | None = None, text_col: str = "t
     (never fewer — a caller-supplied smaller value is raised on, it would
     silently miss pairs). Exact hamming check inside each bucket.
 
-    ONE exchange, the minhash_candidate_pairs shape: rows shuffle by a
-    fixed hash block of (table, key); a pair agreeing on several tables is
+    ONE exchange, the minhash_candidate_pairs shape: rows move by a
+    fixed hash block of (table, key) (relational.block_exchange); a pair
+    agreeing on several tables is
     emitted only from the lowest of them (the table keys are recomputed
     from the ``simhash`` each row carries), so each pair comes out exactly
     once. Precondition: ``id_col`` values are unique keys.
     """
+    from .relational import block_exchange
+
     required = max_hamming + 1
     if n_tables is None:
         n_tables = required
@@ -629,7 +639,7 @@ def simhash_buckets(ds: Dataset, n_tables: int | None = None, text_col: str = "t
         })
 
     def blocked_pairs(group: pa.Table) -> pa.Table:
-        """One hash block holding many (tbl, key) buckets: equal-key runs
+        """One reduce partition holding many (tbl, key) buckets: equal-key runs
         (`_run_pairs`), lowest-table emission (`_first_collision`), then
         the exact hamming check — vectorized over the run pairs."""
         a_o, b_o, d_o = [], [], []
@@ -660,12 +670,10 @@ def simhash_buckets(ds: Dataset, n_tables: int | None = None, text_col: str = "t
         b = ((k * np.uint64(0x9E3779B97F4A7C15) + tb) >> np.uint64(33)) % n_blocks
         return t.append_column("block", pa.array(b.astype(np.int32)))
 
-    return (
+    return block_exchange(
         ds.map_batches(sim_batch, batch_format="pyarrow")
-        .map_batches(add_block, batch_format="pyarrow")
-        .groupby("block")
-        .map_groups(blocked_pairs, batch_format="pyarrow")
-    )
+        .map_batches(add_block, batch_format="pyarrow"),
+        "block", n_blocks, blocked_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -954,13 +962,13 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
     The state is one slim int64 dataset of three row kinds, each keyed by
     ``node``: the node's label (``_OWN``), its edges (``_EDGE``, carried
     through every round) and label candidates sent to it (``_CAND``).
-    Each round is ONE exchange — a fixed hash block of ``node``, one
-    vectorized fold per block: a node's new label is the min of its label
+    Each round is ONE exchange — relational.block_exchange over a fixed
+    hash block of ``node``, one vectorized fold per reduce partition: a
+    node's new label is the min of its label
     and its candidates, and a node whose label changed sends it to every
     peer as a candidate for the next round. The state is the previous
     round's output, never a union with the edge list, so its block count
-    is fixed across rounds (a sort shuffle writes one partition per input
-    block).
+    is fixed across rounds (at most one block per reduce partition).
 
     Iterates to a FIXED POINT: it stops when no label changed — every
     label a node ever held was sent to all its peers when it was set, so
@@ -975,6 +983,8 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
     Pass a materialized ``edges`` dataset; labels stay distributed end to
     end. Returns labels(node, label).
     """
+    from .relational import _blk_int, block_exchange
+
     _OWN, _EDGE, _CAND = 0, 1, 2
     _INT64_MAX = np.iinfo(np.int64).max
     n_blocks = 64
@@ -996,14 +1006,12 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
         })
 
     def add_block(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((node * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % n_blocks
-        return t.append_column("blk", pa.array(b.astype(np.int32)))
+        return t.append_column("blk", _blk_int(t["node"], n_blocks))
 
     def fold(group: pa.Table) -> pa.Table:
-        # one hash block holding many nodes (FIXED group count, VERDICT r3
-        # item 6): sort by node, recover equal-node runs vectorized, fold
-        # with reduceat/repeat — no per-node Python
+        # one reduce partition holding many nodes (FIXED block count,
+        # VERDICT r3 item 6): sort by node, recover equal-node runs
+        # vectorized, fold with reduceat/repeat — no per-node Python
         t = group.sort_by([("node", "ascending")])
         node = t["node"].to_numpy(zero_copy_only=False)
         kind = t["kind"].to_numpy(zero_copy_only=False)
@@ -1041,12 +1049,9 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
 
     state = edges.map_batches(seed, batch_format="pyarrow", batch_size=None)
     for _ in range(n_rounds):
-        state = (
-            state.map_batches(add_block, batch_format="pyarrow", batch_size=None)
-            .groupby("blk")
-            .map_groups(fold, batch_format="pyarrow")
-            .materialize()
-        )
+        state = block_exchange(
+            state.map_batches(add_block, batch_format="pyarrow", batch_size=None),
+            "blk", n_blocks, fold).materialize()
         sent = sum(r["n"] for r in state.map_batches(
             n_sent, batch_format="pyarrow", batch_size=None).take_all())
         if sent == 0:  # no label moved this round

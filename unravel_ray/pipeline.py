@@ -30,7 +30,6 @@ import pyarrow.compute as pc
 
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Count, Sum
 
 from .config import PipelineConfig
 from .schema import EXTRACTED_SCHEMA, SPLIT_MARKER_STATUS
@@ -328,11 +327,17 @@ def extract_publish(docs: Dataset, cfg: PipelineConfig | None = None,
 def build_rollup(extracted: Dataset) -> Dataset:
     """Collection status roll-up (G2, ProcessOcr.java:185-217).
 
-    Partial aggregation first: indicator columns inside map_batches, then a
-    small groupby-sum — no raw-row shuffle of span payloads.
+    Combiner-first: each block folds its status indicators into one
+    (count, completed, failed, pending) partial row per collection with an
+    Arrow group_by; the partials move by a fixed hash block of the
+    collection id (relational.block_exchange) and fold with one Arrow
+    group_by per reduce partition — no raw-row shuffle of span payloads.
     """
+    from .relational import _blk_str, _keyed_fold, block_exchange
 
-    def indicators(batch: pa.Table) -> pa.Table:
+    n_blocks = 64
+
+    def partial(batch: pa.Table) -> pa.Table:
         status = batch["status"]
         completed = pc.cast(pc.equal(status, "completed"), pa.int64())
         failed = pc.cast(
@@ -350,7 +355,7 @@ def build_rollup(extracted: Dataset) -> Dataset:
             ),
             pa.int64(),
         )
-        return pa.table(
+        t = pa.table(
             {
                 "collection_id": batch["collection_id"],
                 "completed": completed,
@@ -358,17 +363,22 @@ def build_rollup(extracted: Dataset) -> Dataset:
                 "pending": pending,
             }
         )
+        g = pa.TableGroupBy(t, "collection_id").aggregate(
+            [([], "count_all"), ("completed", "sum"), ("failed", "sum"),
+             ("pending", "sum")])
+        g = g.rename_columns(["collection_id", "n", "completed", "failed",
+                              "pending"])
+        return g.append_column("__blk", _blk_str(g["collection_id"], n_blocks))
 
-    agg = (
-        extracted.map_batches(indicators, batch_format="pyarrow")
-        .groupby("collection_id")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("completed", alias_name="n_completed"),
-            Sum("failed", alias_name="n_failed"),
-            Sum("pending", alias_name="n_pending"),
-        )
-    )
+    def fold(group: pa.Table) -> pa.Table:
+        return _keyed_fold(group, ["collection_id"],
+                           [("n", "sum"), ("completed", "sum"),
+                            ("failed", "sum"), ("pending", "sum")],
+                           ["n_docs", "n_completed", "n_failed", "n_pending"])
+
+    agg = block_exchange(
+        extracted.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        "__blk", n_blocks, fold)
 
     def decide(batch: pa.Table) -> pa.Table:
         n, comp, fail = batch["n_docs"], batch["n_completed"], batch["n_failed"]

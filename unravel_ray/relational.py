@@ -15,6 +15,8 @@ Scale notes per operator in docstrings. Reads always prune columns.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -76,14 +78,18 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
     Partial aggregation genuinely happens BEFORE the exchange: each block
     collapses to at most one row per (returnflag, linestatus) via an
     Arrow group_by — ~6 rows per block instead of one per lineitem — so
-    the Ray groupby sorts a few hundred partial rows, not the table.
-    (The pre-fix version only slimmed columns; the exchange still moved
-    every row: 3.2-6.6 s -> 2.2-2.5 s same-window A/B at sf0.1/32 CPUs.)
+    the exchange moves a few hundred partial rows, not the table, by a
+    fixed hash block of the returnflag (``block_exchange``; every row of
+    a group shares its returnflag), and one Arrow group_by per reduce
+    partition folds them. (The pre-fix version only slimmed columns; the
+    exchange still moved every row: 3.2-6.6 s -> 2.2-2.5 s same-window
+    A/B at sf0.1/32 CPUs.)
     """
     ds = _pq(
         sf_dir, "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
+    n_blocks = 64
 
     def derive(batch: pa.Table) -> pa.Table:
         rm = {"round_mode": "half_towards_infinity"}  # DuckDB ROUND parity
@@ -105,20 +111,21 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
             [("qty", "sum"), ("price_cents", "sum"),
              ("disc_price_c100", "sum"), ([], "count_all")]
         )
-        return g.rename_columns(
+        g = g.rename_columns(
             ["l_returnflag", "l_linestatus", "qty", "price_cents",
              "disc_price_c100", "n"])
+        return g.append_column("__blk", _blk_str(g["l_returnflag"], n_blocks))
 
-    agg = (
-        ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty", alias_name="sum_qty"),
-            Sum("price_cents", alias_name="sum_base_cents"),
-            Sum("disc_price_c100", alias_name="sum_disc_cents100"),
-            Sum("n", alias_name="n_rows"),
-        )
-    )
+    def fold(group: pa.Table) -> pa.Table:
+        return _keyed_fold(group, ["l_returnflag", "l_linestatus"],
+                           [("qty", "sum"), ("price_cents", "sum"),
+                            ("disc_price_c100", "sum"), ("n", "sum")],
+                           ["sum_qty", "sum_base_cents", "sum_disc_cents100",
+                            "n_rows"])
+
+    agg = block_exchange(
+        ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
+        "__blk", n_blocks, fold)
 
     def finalize(batch: pa.Table) -> pa.Table:
         # exact integer micro-average: (sum*1e6)//n — identical in any engine
@@ -132,13 +139,63 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# the fixed-block exchange shared by every block-id keyed operator
+# ---------------------------------------------------------------------------
+
+def exchange_partitions(n_blocks: int) -> int:
+    """Reduce partitions for an exchange over ``n_blocks`` block ids: one
+    per CPU of the session (``ray.cluster_resources`` reads, it never
+    starts Ray), never more than there are block ids."""
+    if ray.is_initialized():
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_blocks, cpus))
+
+
+def block_exchange(ds: Dataset, key: str, n_blocks: int, fn,
+                   n_partitions: int | None = None) -> Dataset:
+    """Co-locate the rows of each int block id in ``key`` (values in
+    ``[0, n_blocks)``) and run ``fn`` once per reduce partition.
+
+    One sort exchange with explicit cut points: nothing is sampled, the
+    block ids split into ``n_partitions`` contiguous ranges (default
+    ``exchange_partitions(n_blocks)``), a sort reduce emits one block per
+    range and ``batch_size=None`` hands that block to ``fn`` whole — so
+    ``fn`` sees whole block-id groups, several of them per call, and must
+    treat its input as a union of groups (every kernel here sorts or
+    groups by its own key). Empty partitions (Ray emits them without a
+    schema) never reach ``fn``; they produce no output block."""
+    n = n_partitions or exchange_partitions(n_blocks)
+    # an empty cut list makes Ray sample boundaries, so a single partition
+    # cuts at n_blocks: every id falls below it
+    cuts = [i * n_blocks // n for i in range(1, n)] or [n_blocks]
+
+    def run(part: pa.Table):
+        if part.num_rows:
+            yield fn(part)
+
+    run.__name__ = getattr(fn, "__name__", "block_exchange")
+    return ds.sort(key, boundaries=cuts).map_batches(
+        run, batch_format="pyarrow", batch_size=None)
+
+
+def _blk_str(arr, n_blocks: int) -> pa.Array:
+    """Fixed hash-block id for a string key column (nulls share one)."""
+    from .hashing import hash_strings
+
+    return pa.array((hash_strings(arr) % np.uint64(n_blocks)).astype(np.int32))
+
+
+# ---------------------------------------------------------------------------
 # G4 — per-user accounting (events)
 # ---------------------------------------------------------------------------
 
 def _keyed_fold(group: pa.Table, keys: list[str], aggs: list[tuple[str, str]],
                 out_names: list[str]) -> pa.Table:
     """Shared merge step of the fixed hash-block aggregate family
-    (user_event_totals, event_hourly_windows, dedup.exact_dedup): drop the
+    (user_event_totals, event_hourly_windows, lineitem_pricing,
+    word_counts_by_lang, dedup.exact_dedup, pipeline.build_rollup): drop the
     block key, one Arrow group_by applying each ``(column, function)`` of
     ``aggs``, emit keys then the results renamed to ``out_names`` (sums
     cast to int64) — factored so the folds cannot drift (r5 review)."""
@@ -158,8 +215,8 @@ def user_event_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
     Combiner-first: each block partial-aggregates with a vectorized
     pyarrow TableGroupBy, so the shuffle moves one row per (user, block)
     instead of one per event. The merge uses the window family's fixed
-    hash(user) % n_blocks exchange (one small int sort key, one Arrow
-    group_by per block) rather than a Ray range-sort on user_id —
+    hash(user) % n_blocks ``block_exchange`` (one Arrow group_by per
+    reduce partition) rather than a Ray range-sort on user_id —
     2.8-3.3 s -> 2.0-2.1 s same-window A/B at sf0.1/32 CPUs."""
     ds = _pq(sf_dir, "events", ["user_id", "value"])
 
@@ -178,8 +235,9 @@ def user_event_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
                            [("n", "sum"), ("value_cents", "sum")],
                            ["n_events", "value_cents"])
 
-    return (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby("__blk").map_groups(fold, batch_format="pyarrow"))
+    return block_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        "__blk", n_blocks, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +854,9 @@ def _partial_group_head(batch: pa.Table, group_col: str,
 def first_event_per_user(sf_dir: str) -> Dataset:
     """Per-user earliest event (first-match pick O3, ProcessOcr.java:62-65;
     dedup-by-key D1). Combiner-first: each batch pre-reduces to one row
-    per local user, THEN the slim survivors shuffle into the final
-    groupby + head(1).
+    per local user, THEN the slim survivors move by a fixed hash block of
+    the user (``block_exchange``) into one sorted run-head pick per
+    reduce partition.
     """
     ds = _pq(sf_dir, "events", ["user_id", "event_id", "event_type", "ts"])
     keys = [("ts", "ascending"), ("event_id", "ascending")]
@@ -808,18 +867,15 @@ def first_event_per_user(sf_dir: str) -> Dataset:
         return t.append_column("__blk", _blk_int(t["user_id"], n_blocks))
 
     def head1(group: pa.Table) -> pa.Table:
-        # one block holds MANY users: sort, then vectorized run-head pick
+        # one partition holds MANY users: sort, then vectorized run-head pick
         g = group.drop_columns(["__blk"]).sort_by(
             [("user_id", "ascending"), *keys])
         return g.take(pa.array(_group_head_indices(g, "user_id", 1)))
 
     # combiner-first (<=1 row per (user, batch) shuffles) into a FIXED
     # block count — never one Ray group per user
-    return (
-        ds.map_batches(add_block, batch_format="pyarrow")
-        .groupby("__blk")
-        .map_groups(head1, batch_format="pyarrow")
-    )
+    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
+                          "__blk", n_blocks, head1)
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +895,9 @@ def event_hourly_windows(sf_dir: str, n_blocks: int = 64) -> Dataset:
     stream), then hash(user) % n_blocks — a FIXED block count, so the
     exchange sorts one small int key instead of range-partitioning on
     (string-ish user, timestamp); the final merge is one vectorized Arrow
-    group_by per block. Same shape as the rest of the window family
-    (user_running_totals / user_sliding_window). Measured at sf0.1/32
+    group_by per reduce partition (``block_exchange``). Same shape as
+    the rest of the window family (user_running_totals /
+    user_sliding_window). Measured at sf0.1/32
     CPUs: 4.6 s (Ray key-sort aggregate) -> 1.9 s in the same window.
     """
     ds = _pq(sf_dir, "events", ["user_id", "ts", "value"])
@@ -864,9 +921,10 @@ def event_hourly_windows(sf_dir: str, n_blocks: int = 64) -> Dataset:
                            [("n", "sum"), ("value_cents", "sum")],
                            ["n_events", "value_cents"])
 
-    return (ds.map_batches(windowize_partial, batch_format="pyarrow",
-                           batch_size=None)  # whole-block partials
-            .groupby("__blk").map_groups(fold, batch_format="pyarrow"))
+    return block_exchange(
+        ds.map_batches(windowize_partial, batch_format="pyarrow",
+                       batch_size=None),  # whole-block partials
+        "__blk", n_blocks, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -879,30 +937,35 @@ def word_counts_by_lang(sf_dir: str) -> Dataset:
 
     Word = whitespace-separated token (Java split("\\\\s+") semantics);
     vectorized via pyarrow regex count: words = count(\\S+).
+    Combiner-first: each block collapses to one (count, sum, sum, min,
+    max) partial row per lang with an Arrow group_by; the partials move
+    by a fixed hash block of the lang (``block_exchange``) and fold with
+    one Arrow group_by per reduce partition.
     """
     ds = _pq(sf_dir, "documents", ["lang", "text", "n_chars"])
+    n_blocks = 64
 
-    def derive(batch: pa.Table) -> pa.Table:
-        words = pc.count_substring_regex(batch["text"], pattern=r"\S+")
-        return pa.table(
-            {
-                "lang": batch["lang"],
-                "words": pc.cast(words, pa.int64()),
-                "chars": batch["n_chars"],
-            }
-        )
+    def partial(batch: pa.Table) -> pa.Table:
+        words = pc.cast(
+            pc.count_substring_regex(batch["text"], pattern=r"\S+"), pa.int64())
+        t = pa.table({"lang": batch["lang"], "words": words,
+                      "chars": batch["n_chars"]})
+        g = pa.TableGroupBy(t, "lang").aggregate(
+            [([], "count_all"), ("words", "sum"), ("chars", "sum"),
+             ("words", "min"), ("words", "max")])
+        g = g.rename_columns(["lang", "n", "words", "chars", "wmin", "wmax"])
+        return g.append_column("__blk", _blk_str(g["lang"], n_blocks))
 
-    return (
-        ds.map_batches(derive, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("words", alias_name="total_words"),
-            Sum("chars", alias_name="total_chars"),
-            Min("words", alias_name="min_words"),
-            Max("words", alias_name="max_words"),
-        )
-    )
+    def fold(group: pa.Table) -> pa.Table:
+        return _keyed_fold(group, ["lang"],
+                           [("n", "sum"), ("words", "sum"), ("chars", "sum"),
+                            ("wmin", "min"), ("wmax", "max")],
+                           ["n_docs", "total_words", "total_chars",
+                            "min_words", "max_words"])
+
+    return block_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        "__blk", n_blocks, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,10 +1273,10 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30) -> Dataset:
     < ``gap_minutes`` form one session (the classic gaps-and-islands
     sessionization a streaming engine does with session windows).
 
-    Ray shape: groupby(hash(user) % n_blocks) — a FIXED group count —
-    then ONE vectorized pass over each block: sort by (user, ts,
-    event_id), flag session starts where the user changes OR the gap is
-    >= the threshold, and read per-session first/last/count straight off
+    Ray shape: ``block_exchange`` on hash(user) % n_blocks — a FIXED
+    block count — then ONE vectorized pass per reduce partition: sort by
+    (user, ts, event_id), flag session starts where the user changes OR
+    the gap is >= the threshold, and read per-session first/last/count off
     the boundary index arrays (ray_guide 'Streaming-shaped workloads'
     pattern). Output: one row per session with start, n_events and
     duration_us (exact integers — hash-stable).
@@ -1257,8 +1320,8 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30) -> Dataset:
             "duration_us": pa.array(durs, pa.int64()),
         })
 
-    return (ds.map_batches(add_block, batch_format="pyarrow")
-            .groupby("__blk").map_groups(sessions, batch_format="pyarrow"))
+    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
+                          "__blk", n_blocks, sessions)
 
 
 # ---------------------------------------------------------------------------
@@ -1297,7 +1360,8 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
               right_suffix: str = "_r", n_buckets: int | None = None,
               target_rows_per_bucket: int = 250_000,
               est_rows: int | None = None,
-              hot_keys=None, n_salts: int = 16) -> Dataset:
+              hot_keys=None, n_salts: int = 16,
+              schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
     """Distributed BUCKETED hash join with no driver/broadcast state —
     both sides shuffle by hash(key) % n_buckets and meet in co-located
     bucket groups, where Arrow's C++ hash join does the actual matching
@@ -1313,9 +1377,11 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
     rows). Salting is incompatible with right/full (see below).
 
     Implementation: tag each side, union into one superset-schema stream
-    (missing columns null), ``groupby(__bucket)`` co-groups each hash
-    bucket, and the per-bucket kernel splits the sides back out and runs
-    ``pyarrow.Table.join`` (any of the six modes via Arrow's
+    (missing columns null), ``block_exchange`` on ``__bucket`` co-locates
+    whole hash buckets, and the kernel splits the sides back out and runs
+    ``pyarrow.Table.join`` once per reduce partition (a union of whole
+    buckets joins exactly like each bucket alone, since a key lives in
+    one bucket on both sides; any of the six modes via Arrow's
     inner / left outer / left semi / left anti / right outer /
     full outer; duplicate keys produce the cartesian of matches
     natively). Bucketing instead of per-key
@@ -1324,10 +1390,15 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
     ``n_buckets=None`` (default) derives the count from the data —
     ``max(32, est_rows / target_rows_per_bucket)`` — so per-bucket task
     memory stays ~flat as inputs grow; pass ``est_rows`` when transforms
-    upstream hide the metadata count (see derive_join_buckets).
+    upstream hide the metadata count (see derive_join_buckets). Reduce
+    partitions: one per CPU, but never fewer than
+    ``ceil(est_rows / target_rows_per_bucket)``, so no partition holds
+    more than one bucket's row share.
     Only the joined columns ride the shuffle — prune with select_columns
     before calling. Right-side columns colliding with left names get
-    ``right_suffix``.
+    ``right_suffix``. ``schemas=(left, right)`` passes the sides' Arrow
+    schemas when the caller knows them; otherwise each side's
+    ``Dataset.schema()`` runs a ``limit=1`` execution of its plan.
 
     Evaluated against Ray 2.49's native ``Dataset.join`` (hash-shuffle
     aggregator actors) on the bench join (150k x 15k at 32 CPUs): the
@@ -1356,14 +1427,22 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
         # An EMPTY hot set is a no-op and stays valid (detect_hot_keys
         # composes: it normally returns []).
         raise ValueError(f"hot_keys salting is not valid with how={how!r}")
+    if est_rows is None:
+        sizes = [s for s in (_estimated_rows(left), _estimated_rows(right))
+                 if s is not None]
+        est_rows = max(sizes) if sizes else None
     if n_buckets is None:
         n_buckets = derive_join_buckets(left, right, target_rows_per_bucket,
                                         est_rows)
+    n_parts = exchange_partitions(n_buckets)
+    if est_rows is not None:
+        n_parts = min(n_buckets, max(n_parts,
+                                     -(-est_rows // target_rows_per_bucket)))
     arrow_how = {"inner": "inner", "left": "left outer",
                  "semi": "left semi", "anti": "left anti",
                  "right": "right outer", "full": "full outer"}[how]
-    lschema = left.schema()   # ray.data.Schema: .names + .types (arrow)
-    rschema = right.schema()
+    # pa.Schema or ray.data.Schema: both have .names + .types (arrow)
+    lschema, rschema = schemas or (left.schema(), right.schema())
     lcols = list(lschema.names)
     rcols = [c for c in rschema.names if c != on]
     rout = [c + right_suffix if c in lcols else c for c in rcols]
@@ -1456,17 +1535,22 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
         right.map_batches(tag(1), batch_format="pyarrow")
     )
     out_names = lcols + rout
+    # the salted buckets of one hot key may share a reduce partition, so a
+    # salted join also matches on the bucket (a probe row meets only its
+    # own salt's copy); unsalted, the bucket is a function of the key
+    bkt = ["__bucket"] if hot_arr is not None else []
 
     def join_bucket(group: pa.Table) -> pa.Table:
         sides = group["__side"]
-        ltbl = group.filter(pc.equal(sides, 0)).select(lcols)
-        rtbl = (group.filter(pc.equal(sides, 1)).select([on] + rout)
-                .rename_columns([on] + rcols))
-        joined = ltbl.join(rtbl, keys=on, join_type=arrow_how,
+        ltbl = group.filter(pc.equal(sides, 0)).select(bkt + lcols)
+        rtbl = (group.filter(pc.equal(sides, 1)).select(bkt + [on] + rout)
+                .rename_columns(bkt + [on] + rcols))
+        joined = ltbl.join(rtbl, keys=[on] + bkt, join_type=arrow_how,
                            right_suffix=right_suffix, coalesce_keys=True)
         return joined.select(out_names)
 
-    return unioned.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return block_exchange(unioned, "__bucket", n_buckets, join_bucket,
+                          n_partitions=n_parts)
 
 
 def detect_hot_keys(ds: Dataset, on: str, min_rows: int = 250_000) -> list:
@@ -1495,7 +1579,12 @@ def _orders_cust_sides(sf_dir: str, priority: str | None = None,
     per-side filters (applied BEFORE the cents cast so dropped rows never
     pay it). The rename map_batches hides the metadata count — callers
     size buckets from the parquet footer (KB of metadata, no data read),
-    scaled by their filter's selectivity."""
+    scaled by their filter's selectivity. Also returns both sides' Arrow
+    schemas for ``hash_join(schemas=)``, derived by running the same prep
+    and rename over each file's empty table (footer only, no Ray
+    execution)."""
+    import pyarrow.parquet as pq
+
     ocols = ["o_orderkey", "o_custkey", "o_totalprice"]
     if priority is not None:
         ocols = ocols + ["o_orderpriority"]
@@ -1507,23 +1596,28 @@ def _orders_cust_sides(sf_dir: str, priority: str | None = None,
         return _cents(b, "o_totalprice", "price_cents") \
             .drop_columns(["o_totalprice"])
 
-    orders = _pq(sf_dir, "orders", ocols) \
-        .map_batches(prep_orders, batch_format="pyarrow") \
-        .map_batches(lambda t: t.rename_columns(
-            {"o_custkey": "custkey"}.get(c, c) for c in t.column_names),
-            batch_format="pyarrow")
-
     def prep_cust(t: pa.Table) -> pa.Table:
         if segment is not None:
             t = t.filter(pc.equal(t["c_mktsegment"], segment))
         return t
 
-    cust = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
-        .map_batches(prep_cust, batch_format="pyarrow") \
-        .map_batches(lambda t: t.rename_columns(
-            {"c_custkey": "custkey"}.get(c, c) for c in t.column_names),
-            batch_format="pyarrow")
-    return orders, cust
+    def to_custkey(key: str):
+        def rename(t: pa.Table) -> pa.Table:
+            return t.rename_columns(
+                "custkey" if c == key else c for c in t.column_names)
+        return rename
+
+    sides, schemas = [], []
+    for table, cols, key, prep in (
+            ("orders", ocols, "o_custkey", prep_orders),
+            ("customer", ["c_custkey", "c_mktsegment"], "c_custkey", prep_cust)):
+        rename = to_custkey(key)
+        sides.append(_pq(sf_dir, table, cols)
+                     .map_batches(prep, batch_format="pyarrow")
+                     .map_batches(rename, batch_format="pyarrow"))
+        empty = pq.read_schema(f"{sf_dir}/{table}.parquet").empty_table()
+        schemas.append(rename(prep(empty.select(cols))).schema)
+    return sides[0], sides[1], tuple(schemas)
 
 
 def orders_customer_join(sf_dir: str) -> Dataset:
@@ -1532,9 +1626,10 @@ def orders_customer_join(sf_dir: str) -> Dataset:
     neither side is broadcastable. Slim projected columns only."""
     import pyarrow.parquet as pq
 
-    orders, cust = _orders_cust_sides(sf_dir)
+    orders, cust, schemas = _orders_cust_sides(sf_dir)
     est = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    return hash_join(orders, cust, on="custkey", how="left", est_rows=est)
+    return hash_join(orders, cust, on="custkey", how="left", est_rows=est,
+                     schemas=schemas)
 
 
 def orders_customer_full_join(sf_dir: str) -> Dataset:
@@ -1546,15 +1641,16 @@ def orders_customer_full_join(sf_dir: str) -> Dataset:
     which tracked customers placed no urgent order)."""
     import pyarrow.parquet as pq
 
-    orders, cust = _orders_cust_sides(sf_dir, priority="1-URGENT",
-                                      segment="BUILDING")
+    orders, cust, schemas = _orders_cust_sides(sf_dir, priority="1-URGENT",
+                                               segment="BUILDING")
     # footer count scaled by the filter's selectivity (priorities are
     # uniform 1-of-5 in this corpus) so derived buckets size to the rows
     # actually joined; placement-only, so a skewed corpus merely
     # over/under-provisions bucket count, never affects output
     est = -(-pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
             // 5)
-    return hash_join(orders, cust, on="custkey", how="full", est_rows=est)
+    return hash_join(orders, cust, on="custkey", how="full", est_rows=est,
+                     schemas=schemas)
 
 
 # ---------------------------------------------------------------------------
@@ -1644,8 +1740,9 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
     same ``by`` key with right.on <= left.on (nulls when none precedes).
 
     Composition (north-rule custom-operator path (a)): tagged union ->
-    groupby(hash(by) % n_blocks) — a FIXED group count, never one Ray
-    group per key — then ONE vectorized segmented scan per block: sort
+    ``block_exchange`` on hash(by) % n_blocks — a FIXED block count,
+    never one Ray group per key — then ONE vectorized segmented scan per
+    reduce partition (a union of whole blocks): sort
     by (key, time, right-before-left), forward-fill the last right-row
     index with np.maximum.accumulate, and invalidate fills that cross a
     key-run boundary (fill < run_start). No per-key Python anywhere.
@@ -1668,22 +1765,12 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
         + [pa.field(o, rtypes[c]) for c, o in zip(right_keep, rout)]
     )
 
-    def _blk(key_arr) -> pa.Array:
-        if isinstance(key_arr, pa.ChunkedArray):
-            key_arr = key_arr.combine_chunks()
-        if pa.types.is_integer(key_type):
-            h = key_arr.to_numpy(zero_copy_only=False).astype(np.uint64) \
-                * np.uint64(0x9E3779B97F4A7C15)
-        else:
-            from .hashing import hash_strings
-
-            h = hash_strings(key_arr)
-        return pa.array(((h >> np.uint64(33)) % n_blocks).astype(np.int32))
+    _blk = _blk_int if pa.types.is_integer(key_type) else _blk_str
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            arrays = [_blk(batch[by]),
+            arrays = [_blk(batch[by], n_blocks),
                       pa.array(np.full(n, side, dtype=np.int8)),
                       pc.cast(batch[on], pa.int64())]
             for c in lcols:
@@ -1744,8 +1831,7 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
             arrays.append(col)
         return pa.Table.from_arrays(arrays, schema=result_schema)
 
-    return unioned.groupby("__blk").map_groups(
-        block_asof, batch_format="pyarrow")
+    return block_exchange(unioned, "__blk", n_blocks, block_asof)
 
 
 def purchases_with_last_click(sf_dir: str) -> Dataset:
@@ -1944,8 +2030,9 @@ def _blk_int(arr, n_blocks: int) -> pa.Array:
 def user_running_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
     """Per-user running value total in (ts, event_id) order — the
     window-function shape (SUM() OVER (PARTITION BY user ORDER BY ts)).
-    Groups by hash(user) % n_blocks — a FIXED group count, never one Ray
-    group per user — then one segmented cumsum per block: global cumsum
+    Exchanges by hash(user) % n_blocks (``block_exchange``) — a FIXED
+    block count, never one Ray group per user — then one segmented
+    cumsum per reduce partition: global cumsum
     minus the prefix before each row's key-run start. Only the slim
     (user, ts, event_id, cents) columns shuffle; no per-user Python."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
@@ -1963,8 +2050,8 @@ def user_running_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
             "running_cents": pa.array(csum - base, pa.int64()),
         })
 
-    return (ds.map_batches(add_block, batch_format="pyarrow")
-            .groupby("__blk").map_groups(running, batch_format="pyarrow"))
+    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
+                          "__blk", n_blocks, running)
 
 
 def user_sliding_window(sf_dir: str, w: int = 4, n_blocks: int = 64) -> Dataset:
@@ -1992,8 +2079,8 @@ def user_sliding_window(sf_dir: str, w: int = 4, n_blocks: int = 64) -> Dataset:
             "sliding_sum_cents": pa.array(out, pa.int64()),
         })
 
-    return (ds.map_batches(add_block, batch_format="pyarrow")
-            .groupby("__blk").map_groups(sliding, batch_format="pyarrow"))
+    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
+                          "__blk", n_blocks, sliding)
 
 
 # ---------------------------------------------------------------------------

@@ -462,14 +462,17 @@ def inverted_index(ds: Dataset, min_df: int = 1, n_blocks: int = 64,
 
     Scale shape: per-batch DISTINCT (word, doc) pairs (Arrow split /
     flatten / parent-indices kernels; crc32 block ids assigned once per
-    dictionary word, not per row) -> groupby over a FIXED block count
-    (crc32(word) % n_blocks — the tiny-group scheduling fix, see
-    dedup.py banded grouping) -> per-block vectorized run-length fold.
+    dictionary word, not per row) -> relational.block_exchange over a
+    FIXED block count (crc32(word) % n_blocks — the tiny-group
+    scheduling fix, see dedup.py banded grouping) -> one run-length
+    fold per reduce partition.
     The shuffle moves exactly the index's own payload (two slim columns)
     once; per-task memory is bounded by the postings of one word-block,
     so n_blocks scales with vocabulary, never with corpus row count.
     """
     import zlib
+
+    from .relational import block_exchange
 
     def pairs(batch: pa.Table) -> pa.Table:
         low = pc.utf8_lower(pc.fill_null(batch[text_col], ""))
@@ -511,11 +514,8 @@ def inverted_index(ds: Dataset, min_df: int = 1, n_blocks: int = 64,
                          "df": pa.array(out_df, pa.int64()),
                          "postings": pa.array(out_p, pa.string())})
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("blk")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return block_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                          "blk", n_blocks, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -749,16 +749,17 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
          A document's windows all live in its own row, so the per-doc
          combine is complete here — payload text never shuffles, and a
          gram repeated 10^6 times inside one doc ships ONE row;
-      2. `groupby(hash(gram) % n_blocks)` — a FIXED group count, not one
-         Ray group per distinct gram (group count would equal corpus
-         k-gram cardinality: billions at scale, a Python call +
-         scheduling unit each — VERDICT r3 item 3). Equal-gram runs are
-         recovered VECTORIZED inside each block (sort + run boundaries +
-         reduceat, the same fold minhash_candidate_pairs and
-         inverted_index use). Within a run, the min-doc row is canonical
-         — it contributes cnt-1 duplicates, every other doc cnt. Per-run
-         width is still bounded by DISTINCT DOCS containing the gram
-         (not raw occurrences), the hot-phrase skew bound;
+      2. `relational.block_exchange` on hash(gram) % n_blocks — a FIXED
+         block count, not one Ray group per distinct gram (group count
+         would equal corpus k-gram cardinality: billions at scale, a
+         Python call + scheduling unit each — VERDICT r3 item 3).
+         Equal-gram runs are recovered VECTORIZED inside each reduce
+         partition (sort + run boundaries + reduceat, the same fold
+         minhash_candidate_pairs and inverted_index use). Within a run,
+         the min-doc row is canonical — it contributes cnt-1 duplicates,
+         every other doc cnt. Per-run width is still bounded by DISTINCT
+         DOCS containing the gram (not raw occurrences), the hot-phrase
+         skew bound;
       3. per-doc window totals (computed batch-locally in pass 1) union
          the duplicate partials and fold in ONE native `groupby(doc_id)`
          Sum (no per-doc UDF).
@@ -771,7 +772,7 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
     integer micro-ratio of removable windows).
     """
 
-    from .hashing import hash_strings
+    from .relational import _blk_str, block_exchange
 
     def occurrences(batch: pa.Table) -> pa.Table:
         _, flat, parent = _flat_words(batch[text_col])
@@ -783,8 +784,7 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
         }).group_by(["gram", id_col]).aggregate(
             [([], "count_all")]
         ).rename_columns(["gram", id_col, "cnt"])
-        blk = hash_strings(t["gram"]) % np.uint64(n_blocks)
-        return t.append_column("blk", pa.array(blk.astype(np.int64)))
+        return t.append_column("blk", _blk_str(t["gram"], n_blocks))
 
     def window_totals(batch: pa.Table) -> pa.Table:
         _, flat, parent = _flat_words(batch[text_col])
@@ -798,7 +798,7 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
         })
 
     def dup_fold(group: pa.Table) -> pa.Table:
-        # one hash block holding many grams: combine cross-batch
+        # one reduce partition holding many grams: combine cross-batch
         # (gram, doc) partials, sort, recover equal-gram runs vectorized;
         # within a run every occurrence after the global (doc_id, min_pos)
         # minimum is a duplicate — the min-doc row contributes cnt-1, the
@@ -832,7 +832,7 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
         })
 
     occ = ds.map_batches(occurrences, batch_format="pyarrow")
-    dup = occ.groupby("blk").map_groups(dup_fold, batch_format="pyarrow")
+    dup = block_exchange(occ, "blk", n_blocks, dup_fold)
     tot = ds.map_batches(window_totals, batch_format="pyarrow")
 
     def ratio(t: pa.Table) -> pa.Table:
@@ -964,27 +964,24 @@ def curate_corpus(ds: Dataset, text_col: str = "text",
     # exact dedupe keeps the min-id row per text_hash. Combiner-first
     # (<=1 row per (hash, batch) shuffles), then a FIXED block count —
     # never one Ray group per distinct hash — with a vectorized sorted
-    # run-head pick inside each block.
-    from .hashing import hash_strings
-    from .relational import _group_head_indices
+    # run-head pick per reduce partition.
+    from .relational import _blk_str, _group_head_indices, block_exchange
 
     n_blocks = 64
 
     def local_first(t: pa.Table) -> pa.Table:
         g = t.sort_by([("text_hash", "ascending"), (id_col, "ascending")])
         g = g.take(pa.array(_group_head_indices(g, "text_hash", 1)))
-        blk = (hash_strings(g["text_hash"]) % np.uint64(n_blocks)).astype(
-            np.int32)
-        return g.append_column("__blk", pa.array(blk))
+        return g.append_column("__blk", _blk_str(g["text_hash"], n_blocks))
 
     def block_first(group: pa.Table) -> pa.Table:
         g = group.drop_columns(["__blk"]).sort_by(
             [("text_hash", "ascending"), (id_col, "ascending")])
         return g.take(pa.array(_group_head_indices(g, "text_hash", 1)))
 
-    keepers = (slimmed.map_batches(local_first, batch_format="pyarrow")
-               .groupby("__blk")
-               .map_groups(block_first, batch_format="pyarrow"))
+    keepers = block_exchange(
+        slimmed.map_batches(local_first, batch_format="pyarrow"),
+        "__blk", n_blocks, block_first)
     return keepers.groupby(["split", source_col]).aggregate(
         Count(alias_name="n_docs"), Sum("n_words", alias_name="n_tokens"))
 
