@@ -1,7 +1,8 @@
 """Benchmark harness — headline pipelines over $GRAFT_SF_DIR.
 
-Plain run: one fresh Ray session at $RAY_GRAFT_CPUS (default 32), times
-each headline pipeline, prints ONE JSON line.
+Plain run: one fresh Ray session at $RAY_GRAFT_CPUS (default: the CPUs
+this process may run on), times each headline pipeline, prints ONE JSON
+line.
 
 --scaling: runs this script in two fresh subprocesses (default
 num_cpus=4 then 16 over the 480k-doc corpus; GRAFT_SCALE_LO/HI override)
@@ -83,10 +84,16 @@ def _host_probe() -> float:
         return -1.0  # probe unavailable; absolute times uninterpretable
 
 
+def _num_cpus() -> int:
+    """$RAY_GRAFT_CPUS, else the host's usable CPU count — a Ray session
+    sized above the real cores measures oversubscription, not the engine."""
+    return int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
+
+
 def run_bench() -> dict:
     import ray
 
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = _num_cpus()
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
              logging_level="ERROR")

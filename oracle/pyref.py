@@ -10,8 +10,9 @@ This module shares the *leaf* kernels (html walk, pdf join, page
 resolution) with the engine — those leaves are pinned independently by
 hand-written golden tests in tests/test_html.py / test_pdf_join.py /
 test_pages.py — so what the equality suite actually proves is the
-distributed plumbing: explode, OCR actor batching, the
-groupby(doc_id)+sort(offset) reassembly shuffle, and status accounting.
+distributed plumbing: explode, OCR actor batching, the block-local
+merge + sort(offset, sub) reassembly with split-doc repair, and status
+accounting.
 
 Per-doc semantics (documented engine contract; reference citations in the
 leaf modules):

@@ -46,3 +46,14 @@ def test_flagship_publish_dir_keys_on_input_and_config(tmp_path):
     os.utime(doc, ns=(1, 1))
     d2 = flagship_publish_dir(str(tmp_path), PipelineConfig())
     assert d1 != d2
+
+
+def test_bench_defaults_to_usable_cpus(monkeypatch):
+    """Without $RAY_GRAFT_CPUS the bench session is sized to the CPUs this
+    process may run on (not a fixed 32); the variable still overrides."""
+    import bench
+
+    monkeypatch.delenv("RAY_GRAFT_CPUS", raising=False)
+    assert bench._num_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("RAY_GRAFT_CPUS", "3")
+    assert bench._num_cpus() == 3

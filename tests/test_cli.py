@@ -7,10 +7,14 @@ import subprocess
 import sys
 
 
-def test_cli_extract_and_stats(tmp_path):
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _corpus(tmp_path):
+    """120 synth docs written as parquet files under tmp_path/docs; returns
+    (docs dir, env for CLI subprocesses)."""
     docs = tmp_path / "docs"
-    out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO)
     env.pop("RAY_ADDRESS", None)  # CLI must default to a local session
     gen = (
         "import ray; ray.init(address='local', num_cpus=2, "
@@ -20,19 +24,51 @@ def test_cli_extract_and_stats(tmp_path):
         "ray.shutdown()"
     )
     subprocess.run([sys.executable, "-c", gen], check=True, env=env,
-                   cwd="/root/repo", capture_output=True)
+                   cwd=REPO, capture_output=True)
+    return docs, env
+
+
+def test_cli_extract_and_stats(tmp_path):
+    docs, env = _corpus(tmp_path)
+    out = tmp_path / "out"
     r = subprocess.run(
         [sys.executable, "-m", "unravel_ray", "extract",
          "--input", str(docs), "--output", str(out), "--num-cpus", "2"],
-        check=True, env=env, cwd="/root/repo", capture_output=True,
+        check=True, env=env, cwd=REPO, capture_output=True,
         text=True)
     manifest = json.loads(r.stdout.strip().splitlines()[-1])
     assert manifest["n_rows"] == 120
     s = subprocess.run(
         [sys.executable, "-m", "unravel_ray", "stats",
          "--input", str(out / "raw"), "--num-cpus", "2"],
-        check=True, env=env, cwd="/root/repo", capture_output=True,
+        check=True, env=env, cwd=REPO, capture_output=True,
         text=True)
     rows = [json.loads(ln) for ln in s.stdout.strip().splitlines()
             if ln.startswith("{")]
     assert sum(r["n_docs"] for r in rows) == 120
+
+
+def test_cli_extract_checkpoint_resumes(tmp_path):
+    """extract --checkpoint: one partition per input parquet file; a
+    second run over the same input commits nothing new."""
+    from unravel_ray.checkpoint import read_manifest
+
+    docs, env = _corpus(tmp_path)
+    out = tmp_path / "ckpt"
+    n_files = len(list(docs.glob("*.parquet")))
+    cmd = [sys.executable, "-m", "unravel_ray", "extract", "--checkpoint",
+           "--input", str(docs), "--output", str(out), "--num-cpus", "2"]
+
+    def run():
+        r = subprocess.run(cmd, check=True, env=env, cwd=REPO,
+                           capture_output=True, text=True)
+        return json.loads(r.stdout.strip().splitlines()[-1])
+
+    first = run()
+    assert first["executed"] == list(range(n_files)) and first["skipped"] == []
+    m = read_manifest(str(out))
+    assert set(m) == set(range(n_files))
+    assert sum(r["n_rows"] for r in m.values()) == 120
+    second = run()
+    assert second["executed"] == []
+    assert second["skipped"] == list(range(n_files))

@@ -10,13 +10,13 @@ import ray.data
 from unravel_ray.dedup import (
     embedding_neardup,
     exact_dedup,
+    jaccard_verified_pairs,
     minhash_candidate_pairs,
     minhash_dedup,
     minhash_signature,
     ngram_jaccard,
     simhash62,
     simhash_buckets,
-    verify_pairs_jaccard,
 )
 
 BASE = ("the quick brown fox jumps over the lazy dog while the band plays "
@@ -68,8 +68,6 @@ def test_jaccard_verified_pairs_micros_match_tuple_jaccard(ray_session):
     """The SQL-exact hash-set micros form equals the tuple-set
     ngram_jaccard (no mod-P31 collisions at this size); exact dups hit
     exactly 1_000_000 and the threshold filters."""
-    from unravel_ray.dedup import jaccard_verified_pairs
-
     pairs = minhash_candidate_pairs(_docs(), threshold=0.5)
     out = {(p["a"], p["b"]): p["jaccard_micros"]
            for p in jaccard_verified_pairs(_docs(), pairs,
@@ -85,12 +83,13 @@ def test_jaccard_verified_pairs_micros_match_tuple_jaccard(ray_session):
 
 def test_jaccard_verification_filters(ray_session):
     pairs = minhash_candidate_pairs(_docs(), threshold=0.5)
-    verified = verify_pairs_jaccard(_docs(), pairs, threshold=0.7).take_all()
+    verified = jaccard_verified_pairs(_docs(), pairs,
+                                      threshold_micros=700_000).take_all()
     vset = {(p["a"], p["b"]) for p in verified}
     assert (1, 4) in vset  # exact dup: jaccard 1.0
     assert (1, 2) in vset  # one-word edit: jaccard ~0.79
     for p in verified:
-        assert p["jaccard"] >= 0.7
+        assert p["jaccard_micros"] >= 700_000
 
 
 def test_simhash_near_and_far():

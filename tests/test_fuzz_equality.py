@@ -87,24 +87,3 @@ def test_fuzzed_docs_match_oracle(ray_session, docs):
         assert g["status"] == want["status"], (d["doc_id"], d)
         assert g["error_message"] == want["error_message"], (d["doc_id"], d)
         assert g["provider"] == want["provider"], (d["doc_id"], d)
-
-
-@given(corpus())
-@settings(max_examples=6, deadline=None)
-def test_fuzzed_docs_match_oracle_shuffle_variant(ray_session, docs):
-    """Same fuzz against the literal groupby+sort reassembly (independent
-    code path: pack_partials/_merge_partial_rows)."""
-    t = pa.Table.from_pylist(docs, schema=DOCS_SCHEMA)
-    cfg = PipelineConfig(ocr_concurrency=1, explode_batch_size=5,
-                         reassembly="shuffle", reassemble_buckets=4)
-    rows = build_extraction(ray.data.from_arrow(t).repartition(3), cfg).take_all()
-    got = {r["doc_id"]: r for r in rows}
-    assert len(got) == len(docs)
-    for d in docs:
-        want = extract_doc(d)
-        g = got[d["doc_id"]]
-        gs = [(s["kind"], s["text"], s["media_ref"])
-              for s in sorted(g["spans"] or [], key=lambda s: s["offset"])]
-        ws = [(s["kind"], s["text"], s["media_ref"]) for s in want["spans"]]
-        assert gs == ws, (d["doc_id"], d["spans"], gs, ws)
-        assert g["status"] == want["status"], (d["doc_id"], d)

@@ -3,118 +3,25 @@ interrupt after K committed partitions, rerun, assert (a) committed
 partitions are skipped, (b) final table row-identical to an uninterrupted
 run, (c) no duplicate doc_id."""
 
-import collections
 import os
 
 import pytest
-
-import ray.data
-
-import ray.data as _rd  # noqa: F401
 
 from unravel_ray.checkpoint import (
     PartitionInterrupted,
     load_extracted,
     read_manifest,
-    run_with_checkpoint,
+    run_with_checkpoint_files,
 )
 from unravel_ray.config import PipelineConfig
 from unravel_ray.synth import make_corpus
 
-N_DOCS = 200
-N_PARTS = 6
-CFG = PipelineConfig(reassemble_buckets=8, ocr_concurrency=1, explode_batch_size=64)
-
-
-def _make_docs():
-    return ray.data.from_arrow(make_corpus(N_DOCS))
+CFG = PipelineConfig(ocr_concurrency=1, explode_batch_size=64)
 
 
 def _rows(out_dir):
     rows = load_extracted(out_dir).take_all()
     return sorted(rows, key=lambda r: r["doc_id"])
-
-
-def test_kill_and_resume(ray_session, tmp_path):
-    straight = tmp_path / "straight"
-    resumed = tmp_path / "resumed"
-
-    # uninterrupted baseline
-    res = run_with_checkpoint(_make_docs, str(straight), N_PARTS, CFG)
-    assert res["executed"] == list(range(N_PARTS))
-
-    # interrupted after 3 commits
-    with pytest.raises(PartitionInterrupted):
-        run_with_checkpoint(_make_docs, str(resumed), N_PARTS, CFG, fail_after=3)
-    m = read_manifest(str(resumed))
-    assert len(m) == 3
-
-    # resume completes only the pending partitions
-    res2 = run_with_checkpoint(_make_docs, str(resumed), N_PARTS, CFG)
-    assert sorted(res2["skipped"]) == sorted(m.keys())
-    assert len(res2["executed"]) == N_PARTS - 3
-
-    a, b = _rows(str(straight)), _rows(str(resumed))
-    assert len(a) == N_DOCS
-    assert a == b  # row-identical output
-
-    ids = [r["doc_id"] for r in b]
-    dupes = [d for d, c in collections.Counter(ids).items() if c > 1]
-    assert not dupes
-
-
-def test_manifest_lineage_fields(ray_session, tmp_path):
-    out = tmp_path / "o"
-    run_with_checkpoint(_make_docs, str(out), 4, CFG)
-    m = read_manifest(str(out))
-    assert set(m) == {0, 1, 2, 3}
-    total_rows = sum(r["n_rows"] for r in m.values())
-    assert total_rows == N_DOCS
-    for r in m.values():
-        assert r["n_rows"] == r["n_completed"] + r["n_failed"]
-        assert ":" in r["input_fingerprint"]
-        assert r["wall_time_s"] >= 0
-
-
-def test_verify_inputs_invalidates_changed_partition(ray_session, tmp_path):
-    """verify_inputs=True must re-extract a partition whose SOURCE rows
-    changed (same doc ids, edited content) and leave others untouched."""
-    import pyarrow as pa
-
-    from unravel_ray.schema import DOCS_SCHEMA
-
-    out = str(tmp_path / "vi")
-    base = make_corpus(80).to_pylist()
-
-    def make_v1():
-        return ray.data.from_arrow(pa.Table.from_pylist(base, schema=DOCS_SCHEMA))
-
-    run_with_checkpoint(make_v1, out, 4, CFG)
-    m1 = read_manifest(out)
-
-    # edit ONE doc's content (same id)
-    edited = [dict(r) for r in base]
-    victim = next(r for r in edited if r["spans"] and r["spans"][0]["kind"] == "html")
-    victim["spans"] = [dict(victim["spans"][0], text="<p>changed content</p>")]
-
-    def make_v2():
-        return ray.data.from_arrow(pa.Table.from_pylist(edited, schema=DOCS_SCHEMA))
-
-    # plain resume skips everything (crash-resume contract)
-    res_plain = run_with_checkpoint(make_v2, out, 4, CFG)
-    assert res_plain["executed"] == []
-
-    # verified resume re-runs exactly the victim's partition
-    res = run_with_checkpoint(make_v2, out, 4, CFG, verify_inputs=True)
-    assert len(res["executed"]) == 1
-    m2 = read_manifest(out)
-    changed = res["executed"][0]
-    assert m2[changed]["input_fingerprint"] != m1[changed]["input_fingerprint"]
-    for pid in res["skipped"]:
-        assert m2[pid] == m1[pid]
-
-    rows = {r["doc_id"]: r for r in load_extracted(out).take_all()}
-    assert any(s["text"] == "changed content" for s in rows[victim["doc_id"]]["spans"])
 
 
 def test_fragment_aligned_checkpoint(ray_session, tmp_path):
@@ -124,8 +31,6 @@ def test_fragment_aligned_checkpoint(ray_session, tmp_path):
     import time as _time
 
     import pyarrow.parquet as pq
-
-    from unravel_ray.checkpoint import run_with_checkpoint_files
 
     src = tmp_path / "src"
     src.mkdir()
@@ -137,81 +42,21 @@ def test_fragment_aligned_checkpoint(ray_session, tmp_path):
         files.append(f)
 
     out = str(tmp_path / "out")
-    res = run_with_checkpoint_files(files, out, files_per_partition=1, cfg=CFG)
+    res = run_with_checkpoint_files(files, out, cfg=CFG)
     assert res["executed"] == [0, 1, 2, 3]
     assert load_extracted(out).count() == 120
 
     # no-op resume
-    res2 = run_with_checkpoint_files(files, out, files_per_partition=1, cfg=CFG)
+    res2 = run_with_checkpoint_files(files, out, cfg=CFG)
     assert res2["executed"] == [] and len(res2["skipped"]) == 4
 
     # touching one file invalidates exactly that partition
     _time.sleep(1.1)
     pq.write_table(corpus.slice(60, 30), files[2])
     os.utime(files[2])
-    res3 = run_with_checkpoint_files(files, out, files_per_partition=1, cfg=CFG)
+    res3 = run_with_checkpoint_files(files, out, cfg=CFG)
     assert res3["executed"] == [2]
     assert load_extracted(out).count() == 120
-
-
-def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, monkeypatch):
-    """Force fragment markers inside the checkpointed partition write: the
-    footer audit must place an exact recompute in data-repair.parquet and
-    load_extracted must return the complete doc set, marker-free."""
-    import pyarrow as pa
-
-    import unravel_ray.pipeline as P
-    from unravel_ray.checkpoint import load_extracted, run_with_checkpoint
-    from unravel_ray.schema import SPLIT_MARKER_STATUS
-    from unravel_ray.synth import make_corpus
-
-    corpus = make_corpus(24)
-    victim = corpus["doc_id"][5].as_py()
-    real_core = P._build_extraction_core
-
-    def broken_core(docs, cfg):
-        ds = real_core(docs, cfg)
-
-        def sabotage(t: pa.Table) -> pa.Table:
-            from unravel_ray.schema import EXTRACTED_SCHEMA as ES
-            from unravel_ray.schema import SPLIT_MARKER_STATUS as SMS
-
-            rows = []
-            for r in t.to_pylist():
-                if r["doc_id"] == "doc-00000005":
-                    m = dict(r, spans=[], status=SMS, error_message=None,
-                             provider=None, n_spans=0, n_chars=0,
-                             confidence_micros=None, language_detected=None)
-                    rows.extend([m, dict(m)])
-                else:
-                    rows.append(r)
-            return pa.Table.from_pylist(rows, schema=ES)
-
-        return ds.map_batches(sabotage, batch_format="pyarrow")
-
-    monkeypatch.setattr(P, "_build_extraction_core", broken_core)
-    out = str(tmp_path / "ckpt_split")
-
-    def make_docs():
-        import ray.data
-
-        return ray.data.from_arrow(corpus)
-
-    run_with_checkpoint(make_docs, out, n_partitions=3, cfg=CFG)
-    import os
-
-    repair_files = [
-        os.path.join(out, d, "data-repair.parquet")
-        for d in os.listdir(out) if d.startswith("part-")
-        if os.path.exists(os.path.join(out, d, "data-repair.parquet"))
-    ]
-    assert len(repair_files) == 1  # the victim's partition got a repair file
-    rows = load_extracted(out).take_all()
-    assert len(rows) == 24
-    assert all(r["status"] != SPLIT_MARKER_STATUS for r in rows)
-    fixed = next(r for r in rows if r["doc_id"] == victim)
-    assert fixed["status"] in ("completed", "failed")
-    assert victim == "doc-00000005"
 
 
 def _write_shards(src, corpus, n_files):
@@ -227,12 +72,88 @@ def _write_shards(src, corpus, n_files):
     return files
 
 
+def test_manifest_lineage_fields(ray_session, tmp_path):
+    files = _write_shards(tmp_path / "src", make_corpus(120), 4)
+    out = str(tmp_path / "o")
+    run_with_checkpoint_files(files, out, cfg=CFG)
+    m = read_manifest(out)
+    assert set(m) == {0, 1, 2, 3}
+    assert sum(r["n_rows"] for r in m.values()) == 120
+    for pid, r in m.items():
+        assert r["n_rows"] == r["n_completed"] + r["n_failed"]
+        assert r["input_fingerprint"].startswith(f"shard-{pid}.parquet:")
+        assert r["wall_time_s"] >= 0
+
+
+def test_kill_and_resume(ray_session, tmp_path):
+    """Two interrupted calls in a row, then a clean one: each call runs
+    only what the earlier calls left pending, committed manifest rows
+    never change, and no row of an abandoned execution reaches the table."""
+    files = _write_shards(tmp_path / "src", make_corpus(200), 5)
+    out = str(tmp_path / "out")
+    with pytest.raises(PartitionInterrupted):
+        run_with_checkpoint_files(files, out, cfg=CFG, fail_after=2)
+    first = read_manifest(out)
+    assert len(first) == 2
+
+    with pytest.raises(PartitionInterrupted):
+        run_with_checkpoint_files(files, out, cfg=CFG, fail_after=2)
+    second = read_manifest(out)
+    assert len(second) == 4
+    assert {pid: second[pid] for pid in first} == first
+
+    res = run_with_checkpoint_files(files, out, cfg=CFG)
+    assert res["skipped"] == sorted(second)
+    assert res["executed"] == sorted(set(range(5)) - set(second))
+    ids = [r["doc_id"] for r in _rows(out)]
+    assert ids == [f"doc-{i:08d}" for i in range(200)]  # each doc once
+    m = read_manifest(out)
+    assert {pid: m[pid] for pid in second} == second
+    assert sum(r["n_rows"] for r in m.values()) == 200
+    assert not [d for d in os.listdir(out) if d.startswith(".tmp-part-")]
+
+
+def test_verify_inputs_invalidates_changed_partition(ray_session, tmp_path):
+    """Editing one doc's content (same doc ids) in one input file re-runs
+    exactly that file's partition; the other manifest rows stay as they
+    were and the output carries the new content."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    corpus = make_corpus(80)
+    files = _write_shards(tmp_path / "src", corpus, 4)
+    out = str(tmp_path / "vi")
+    run_with_checkpoint_files(files, out, cfg=CFG)
+    m1 = read_manifest(out)
+
+    base = corpus.to_pylist()
+    pos = next(i for i, r in enumerate(base)
+               if r["spans"] and r["spans"][0]["kind"] == "html")
+    victim = base[pos]
+    victim["spans"] = [dict(victim["spans"][0], text="<p>changed content</p>")]
+    changed = pos // 20
+    path = files[changed]
+    pq.write_table(pa.Table.from_pylist(base[changed * 20:(changed + 1) * 20],
+                                        schema=corpus.schema), path)
+    st = os.stat(path)
+    os.utime(path, (st.st_atime, st.st_mtime + 5))  # a later whole second
+
+    res = run_with_checkpoint_files(files, out, cfg=CFG)
+    assert res["executed"] == [changed]
+    m2 = read_manifest(out)
+    assert m2[changed]["input_fingerprint"] != m1[changed]["input_fingerprint"]
+    for pid in res["skipped"]:
+        assert m2[pid] == m1[pid]
+
+    rows = {r["doc_id"]: r for r in load_extracted(out).take_all()}
+    assert len(rows) == 80
+    assert any(s["text"] == "changed content" for s in rows[victim["doc_id"]]["spans"])
+
+
 def test_files_checkpoint_kill_and_resume(ray_session, tmp_path):
     """One execution per call: fail_after=3 abandons it after three
     commits; the resume runs only the other three and the result equals
     an uninterrupted run row for row."""
-    from unravel_ray.checkpoint import run_with_checkpoint_files
-
     files = _write_shards(tmp_path / "src", make_corpus(180), 6)
     straight, resumed = str(tmp_path / "straight"), str(tmp_path / "resumed")
     assert run_with_checkpoint_files(files, straight, cfg=CFG)["executed"] == list(range(6))
@@ -255,23 +176,20 @@ def test_files_checkpoint_kill_and_resume(ray_session, tmp_path):
     assert not [d for d in os.listdir(resumed) if d.startswith(".tmp-part-")]
 
 
-def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch):
-    """Split markers inside the one-execution files variant: the commit
-    recomputes the marked doc into data-repair.parquet and load_extracted
-    returns the complete doc set, marker-free."""
+def _split_victims(monkeypatch, victims):
+    """Make every extraction emit two split-marker rows for each victim
+    doc instead of its extracted row, as a block-boundary split would."""
     import pyarrow as pa
 
     import unravel_ray.pipeline as P
-    from unravel_ray.checkpoint import run_with_checkpoint_files
     from unravel_ray.schema import SPLIT_MARKER_STATUS
 
-    victim = "doc-00000005"
     real_core = P._build_extraction_core
 
     def sabotage(t: pa.Table) -> pa.Table:
         rows = []
         for r in t.to_pylist():
-            if r["doc_id"] == victim:
+            if r["doc_id"] in victims:
                 m = dict(r, spans=[], status=SPLIT_MARKER_STATUS,
                          error_message=None, provider=None, n_spans=0,
                          n_chars=0, confidence_micros=None,
@@ -283,14 +201,27 @@ def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch)
 
     monkeypatch.setattr(P, "_build_extraction_core", lambda docs, cfg: real_core(
         docs, cfg).map_batches(sabotage, batch_format="pyarrow"))
+
+
+def _repaired_parts(out):
+    return sorted(d for d in os.listdir(out) if d.startswith("part-")
+                  and os.path.exists(os.path.join(out, d, "data-repair.parquet")))
+
+
+def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch):
+    """Split markers inside the one-execution files variant: the commit
+    recomputes the marked doc into data-repair.parquet and load_extracted
+    returns the complete doc set, marker-free."""
+    from unravel_ray.schema import SPLIT_MARKER_STATUS
+
+    victim = "doc-00000005"
+    _split_victims(monkeypatch, {victim})
     files = _write_shards(tmp_path / "src", make_corpus(24), 3)
     out = str(tmp_path / "out")
     res = run_with_checkpoint_files(files, out, cfg=CFG)
     assert res["executed"] == [0, 1, 2]
 
-    repair_files = [d for d in os.listdir(out) if d.startswith("part-")
-                    and os.path.exists(os.path.join(out, d, "data-repair.parquet"))]
-    assert repair_files == ["part-0"]  # doc 5 lives in the first shard
+    assert _repaired_parts(out) == ["part-0"]  # doc 5 lives in the first shard
     rows = load_extracted(out).take_all()
     assert sorted(r["doc_id"] for r in rows) == [f"doc-{i:08d}" for i in range(24)]
     assert all(r["status"] != SPLIT_MARKER_STATUS for r in rows)
@@ -299,10 +230,31 @@ def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch)
     assert sum(r["n_rows"] for r in read_manifest(out).values()) == 24
 
 
+def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, monkeypatch):
+    """Split docs in two partitions of an interrupted, then resumed run:
+    each partition commits its own exact recompute, so the final table
+    equals a run without split docs row for row."""
+    files = _write_shards(tmp_path / "src", make_corpus(24), 3)
+    clean = str(tmp_path / "clean")
+    run_with_checkpoint_files(files, clean, cfg=CFG)
+
+    _split_victims(monkeypatch, {"doc-00000005", "doc-00000020"})
+    out = str(tmp_path / "out")
+    with pytest.raises(PartitionInterrupted):
+        run_with_checkpoint_files(files, out, cfg=CFG, fail_after=1)
+    first = read_manifest(out)
+    assert len(first) == 1
+    res = run_with_checkpoint_files(files, out, cfg=CFG)
+    assert res["skipped"] == sorted(first)
+    assert sorted(res["executed"] + res["skipped"]) == [0, 1, 2]
+
+    assert _repaired_parts(out) == ["part-0", "part-2"]  # docs 5 and 20
+    assert _rows(out) == _rows(clean)
+    assert sum(r["n_rows"] for r in read_manifest(out).values()) == 24
+
+
 def test_files_checkpoint_commits_empty_partition(ray_session, tmp_path):
     import pyarrow.parquet as pq
-
-    from unravel_ray.checkpoint import run_with_checkpoint_files
 
     files = _write_shards(tmp_path / "src", make_corpus(40), 2)
     empty = str(tmp_path / "src" / "shard-2.parquet")
@@ -316,9 +268,14 @@ def test_files_checkpoint_commits_empty_partition(ray_session, tmp_path):
     assert load_extracted(out).count() == 40
 
 
-def test_files_checkpoint_rejects_shuffle_reassembly(tmp_path):
-    from unravel_ray.checkpoint import run_with_checkpoint_files
+def test_half_written_manifest_row_is_not_committed(tmp_path):
+    """A kill inside _commit_manifest can leave a truncated ``.tmp-*``
+    row; only renamed ``part-*`` rows count as committed, so a resume
+    neither trips over the fragment nor skips its partition."""
+    from unravel_ray.checkpoint import _commit_manifest, manifest_dir
 
-    with pytest.raises(ValueError):
-        run_with_checkpoint_files([], str(tmp_path / "out"),
-                                  cfg=PipelineConfig(reassembly="shuffle"))
+    out = str(tmp_path / "o")
+    _commit_manifest(out, {"partition_id": 0, "input_fingerprint": "f:1:1"})
+    with open(os.path.join(manifest_dir(out), ".tmp-1.json"), "w") as f:
+        f.write('{"partition_id": 1, "input_fin')
+    assert set(read_manifest(out)) == {0}

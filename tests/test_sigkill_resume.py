@@ -1,9 +1,15 @@
 """FIXTURES.md §4 as written: SIGKILL the driver process mid-run, rerun,
 assert committed partitions survive, output is row-identical to an
 uninterrupted run, and no doc_id duplicates. Uses real subprocesses with
-their own Ray sessions (the pytest session's Ray is untouched)."""
+their own Ray sessions (the pytest session's Ray is untouched).
 
-import json
+The checkpoint runs one streaming execution per call and commits a
+partition (one input file) as soon as its rows are accounted for, so
+commits arrive in bursts. At 8 files a burst often committed every
+partition before the kill landed; at 24 files of 10 docs the kill after
+the third commit landed with 7-9 of 24 committed in trial runs on 4
+CPUs."""
+
 import os
 import signal
 import subprocess
@@ -13,47 +19,64 @@ import time
 import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+N_DOCS = 240
+N_FILES = 24
 
 RUNNER = """
-import sys, ray
+import glob, os, sys, ray
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-import ray.data
-from unravel_ray.checkpoint import run_with_checkpoint
+from unravel_ray.checkpoint import run_with_checkpoint_files
 from unravel_ray.config import PipelineConfig
-from unravel_ray.synth import make_corpus
 
-out_dir = sys.argv[1]
+src_dir, out_dir = sys.argv[1], sys.argv[2]
 cfg = PipelineConfig(ocr_concurrency=1, explode_batch_size=64)
-res = run_with_checkpoint(
-    lambda: ray.data.from_arrow(make_corpus(240)), out_dir, 8, cfg
-)
+files = glob.glob(os.path.join(src_dir, "*.parquet"))
+res = run_with_checkpoint_files(files, out_dir, cfg=cfg)
 print("DONE", res["executed"], res["skipped"])
 ray.shutdown()
 """
 
 
-def _run(out_dir, kill_after_parts=None, timeout=420):
+def _write_shards(src_dir):
+    import pyarrow.parquet as pq
+
+    from unravel_ray.synth import make_corpus
+
+    os.makedirs(src_dir)
+    corpus = make_corpus(N_DOCS)
+    per = N_DOCS // N_FILES
+    for i in range(N_FILES):
+        pq.write_table(corpus.slice(i * per, per),
+                       os.path.join(src_dir, f"shard-{i:02d}.parquet"))
+
+
+def _n_committed(out_dir):
+    mdir = os.path.join(out_dir, "_manifest")
+    if not os.path.isdir(mdir):
+        return 0
+    return len([f for f in os.listdir(mdir) if f.startswith("part-")])
+
+
+def _run(src_dir, out_dir, kill_after_parts=None, timeout=420):
     env = dict(os.environ, PYTHONPATH=REPO)
-    p = subprocess.Popen([sys.executable, "-c", RUNNER, out_dir], env=env,
-                         cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         text=True)
+    p = subprocess.Popen([sys.executable, "-c", RUNNER, src_dir, out_dir],
+                         env=env, cwd=REPO, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
     if kill_after_parts is None:
         out, err = p.communicate(timeout=timeout)
         assert p.returncode == 0, err[-2000:]
         return out
-    mdir = os.path.join(out_dir, "_manifest")
     deadline = time.time() + timeout
     while time.time() < deadline:
-        n = len([f for f in os.listdir(mdir)]) if os.path.isdir(mdir) else 0
-        if n >= kill_after_parts:
+        if _n_committed(out_dir) >= kill_after_parts:
             p.send_signal(signal.SIGKILL)
             p.wait(timeout=30)
             return None
         if p.poll() is not None:
             pytest.fail("runner finished before the kill threshold was reached")
-        time.sleep(0.2)
+        time.sleep(0.05)
     p.kill()
     pytest.fail("runner never reached the kill threshold")
 
@@ -64,27 +87,29 @@ def test_sigkill_mid_run_then_resume(ray_session, tmp_path):
 
     from unravel_ray.checkpoint import load_extracted, read_manifest
 
+    src = str(tmp_path / "src")
     straight = str(tmp_path / "straight")
     killed = str(tmp_path / "killed")
+    _write_shards(src)
 
-    _run(straight)
+    _run(src, straight)
 
-    _run(killed, kill_after_parts=3)
+    _run(src, killed, kill_after_parts=3)
     m = read_manifest(killed)
-    assert 3 <= len(m) < 8, f"expected a partial manifest, got {sorted(m)}"
+    assert 3 <= len(m) < N_FILES, f"expected a partial manifest, got {sorted(m)}"
     committed_before = set(m)
 
-    out = _run(killed)  # resume
+    out = _run(src, killed)  # resume
     assert "DONE" in out
     m2 = read_manifest(killed)
-    assert set(m2) == set(range(8))
+    assert set(m2) == set(range(N_FILES))
     # committed partitions were not re-executed: their manifest rows unchanged
     for pid in committed_before:
         assert m2[pid] == m[pid]
 
     a = sorted(load_extracted(straight).take_all(), key=lambda r: r["doc_id"])
     b = sorted(load_extracted(killed).take_all(), key=lambda r: r["doc_id"])
-    assert len(b) == 240
+    assert len(b) == N_DOCS
     assert a == b
     ids = [r["doc_id"] for r in b]
     assert not [d for d, c in collections.Counter(ids).items() if c > 1]

@@ -3,8 +3,8 @@
 The BASELINE.json per-row invariant: for every doc_id, the sequence of
 (kind, text, media_ref) ordered by offset must be identical between the
 Ray pipeline and oracle/pyref.py — plus status/error/provider accounting.
-This is the proof that explode → actor-pool OCR → groupby+sort reassembly
-loses nothing and reorders nothing.
+This is the proof that explode → actor-pool OCR → block-local reassembly
+(+ split-doc repair) loses nothing and reorders nothing.
 """
 
 import pyarrow as pa
@@ -27,7 +27,7 @@ def corpus() -> pa.Table:
 
 @pytest.fixture(scope="module")
 def pipeline_out(ray_session, corpus):
-    cfg = PipelineConfig(reassemble_buckets=16, ocr_concurrency=2)
+    cfg = PipelineConfig(ocr_concurrency=2)
     ds = ray.data.from_arrow(corpus).repartition(8)
     out = build_extraction(ds, cfg)
     rows = out.take_all()
@@ -114,7 +114,7 @@ def test_corpus_exercises_all_paths(oracle_out):
 
 
 def test_rollup_matches_oracle(ray_session, corpus, oracle_out):
-    cfg = PipelineConfig(reassemble_buckets=16, ocr_concurrency=2)
+    cfg = PipelineConfig(ocr_concurrency=2)
     ds = ray.data.from_arrow(corpus).repartition(8)
     rollup = build_rollup(build_extraction(ds, cfg)).take_all()
     want = rollup_collections(list(oracle_out.values()))
@@ -124,21 +124,6 @@ def test_rollup_matches_oracle(ray_session, corpus, oracle_out):
         g = got[cid]
         for k in ("n_docs", "n_completed", "n_failed", "n_pending", "collection_status"):
             assert g[k] == w[k], (cid, k, g, w)
-
-
-def test_shuffle_reassembly_matches_local(ray_session, corpus, pipeline_out):
-    """The literal groupby+sort variant and the local+repair default must
-    produce identical results (two independent reassembly implementations)."""
-    cfg = PipelineConfig(reassembly="shuffle", reassemble_buckets=16, ocr_concurrency=2)
-    ds = ray.data.from_arrow(corpus).repartition(8)
-    rows = build_extraction(ds, cfg).take_all()
-    shuffle_out = {r["doc_id"]: r for r in rows}
-    assert set(shuffle_out) == set(pipeline_out)
-    for doc_id, a in pipeline_out.items():
-        b = shuffle_out[doc_id]
-        assert a["spans"] == b["spans"], doc_id
-        for k in ("status", "error_message", "provider", "n_spans", "n_chars"):
-            assert a[k] == b[k], (doc_id, k)
 
 
 def test_whale_docs_explode_into_parallel_units(corpus):

@@ -115,15 +115,20 @@ def test_lsh_topk_self_recall(ray_session):
 
 
 def test_ivf_topk_self_recall_and_quality(ray_session):
-    from unravel_ray.ann import ivf_topk
+    """ivf_topk_quantized finds each query at rank 0 with k rows per
+    query; probing every cell makes it exactly the brute-force top-k."""
+    from unravel_ray.ann import ivf_topk_quantized
 
     ds, mat = _embeddings(300)
     q = mat[:3]
-    out = ivf_topk(ds, q, k=5, n_centroids=8, n_probe=3)
-    rows = out.to_pylist()
+    rows = ivf_topk_quantized(ds, q, k=5, n_centroids=8, n_probe=3).to_pylist()
     top = {r["query_idx"]: r["vec_id"] for r in rows if r["rank"] == 0}
     assert top == {0: 0, 1: 1, 2: 2}  # each query finds itself
     assert all(len([r for r in rows if r["query_idx"] == qi]) == 5 for qi in range(3))
+
+    full = ivf_topk_quantized(ds, q, k=5, n_centroids=8, n_probe=8)
+    exact = brute_force_topk(ds, q, k=5).select(["query_idx", "rank", "vec_id"])
+    assert full.to_pylist() == exact.to_pylist()
 
 
 def test_ivf_topk_quantized_self_recall_and_determinism(ray_session):
@@ -177,8 +182,8 @@ def test_persisted_quantized_ivf_index_matches_streamed(ray_session, tmp_path):
 
 
 def test_persisted_ivf_index_roundtrip(ray_session, tmp_path):
-    """build_ivf_index commits a partition-pruned layout; querying it
-    touches only probed cell dirs and matches the streamed ivf_topk recall
+    """build_ivf_index_quantized commits a partition-pruned layout;
+    querying it touches only probed cell dirs and keeps the recall
     contract (self-query returns itself at rank 0)."""
     import json
     import os
@@ -186,30 +191,29 @@ def test_persisted_ivf_index_roundtrip(ray_session, tmp_path):
     import numpy as np
     import pyarrow.dataset as pads
 
-    from unravel_ray.ann import build_ivf_index, ivf_query_index
+    from unravel_ray.ann import build_ivf_index_quantized, ivf_query_index_quantized
 
     rng = np.random.RandomState(11)
     rows = [{"vec_id": i, "embedding": rng.normal(size=12).tolist()}
             for i in range(300)]
     ds = ray.data.from_items(rows)
     idx_dir = str(tmp_path / "ivf")
-    meta = build_ivf_index(ds, idx_dir, n_centroids=8, seed=7)
-    assert meta["n_rows"] == 300
+    meta = build_ivf_index_quantized(ds, idx_dir, n_centroids=8, n_iters=4)
+    assert meta["quantized"] is True
     assert os.path.exists(os.path.join(idx_dir, "INDEX.json"))
     cell_dirs = [d for d in os.listdir(os.path.join(idx_dir, "cells"))
                  if d.startswith("ivf_cell=")]
     assert len(cell_dirs) >= 2  # data actually spread across partitions
     # every row landed in exactly one cell
-    total = sum(
-        pads.dataset(os.path.join(idx_dir, "cells", d)).count_rows()
-        for d in cell_dirs
-    )
-    assert total == 300
+    ids = [i for d in cell_dirs for i in pads.dataset(
+        os.path.join(idx_dir, "cells", d)).to_table(columns=["vec_id"])
+        ["vec_id"].to_pylist()]
+    assert sorted(ids) == list(range(300))
     with open(os.path.join(idx_dir, "INDEX.json")) as f:
         assert json.load(f)["n_centroids"] == 8
 
     queries = np.stack([np.asarray(rows[i]["embedding"]) for i in (3, 42)])
-    out = ivf_query_index(idx_dir, queries, k=5, n_probe=3).to_pylist()
+    out = ivf_query_index_quantized(idx_dir, queries, k=5, n_probe=3).to_pylist()
     by_q = {}
     for r in out:
         by_q.setdefault(r["query_idx"], []).append(r)

@@ -3,9 +3,9 @@
 A from-scratch rebuild of the data-processing semantics of the
 ``Brints/unraveldocs-api`` reference (Java/Spring OCR SaaS) as idiomatic
 Ray Data pipelines: ``ray.data.Dataset`` -> ``map_batches`` over zero-copy
-Arrow batches, actor pools for stateful OCR stages, explicit
-``groupby(doc_id)`` + sort(offset) shuffles for span reassembly, and
-partition-manifest checkpointing for exact resume.
+Arrow batches, actor pools for stateful OCR stages, shuffle-free
+block-local span reassembly with targeted repair of split docs, and
+per-file partition-manifest checkpointing for exact resume.
 
 Nothing here imports from or translates the reference's Java code; the
 reference defines WHAT to compute (see SURVEY.md for file:line citations),

@@ -1,7 +1,7 @@
 """CLI entry points — the `ray job submit` surface of the engine.
 
     python -m unravel_ray extract --input docs.parquet --output /out \
-        [--checkpoint --partitions 64] [--num-cpus 8]
+        [--checkpoint] [--num-cpus 8]
     python -m unravel_ray rollup --input /out/raw --output /out/rollup
     python -m unravel_ray stats --input /out/raw
 
@@ -9,8 +9,9 @@
 corpus of DOCS_SCHEMA rows (doc_id, spans list<struct<kind,text,
 media_ref,offset>>, mime_type, file_size, ...) via the
 write-audit-publish path; with --checkpoint it runs the
-partition-manifest variant instead (resumable: re-running skips
-committed partitions). On a cluster the same module runs unchanged under
+partition-manifest variant instead, one partition per input parquet file
+(resumable: re-running skips committed partitions). On a cluster the
+same module runs unchanged under
 `ray job submit -- python -m unravel_ray extract ...` with RAY_ADDRESS
 pointing at the cluster (ray.init here is guarded and local-only when no
 address is set).
@@ -21,6 +22,7 @@ This is the ONLY module in the package that may call ray.init().
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -44,20 +46,20 @@ def _ray_up(num_cpus: int | None) -> None:
 def cmd_extract(args: argparse.Namespace) -> int:
     import ray
 
-    from .checkpoint import run_with_checkpoint
+    from .checkpoint import run_with_checkpoint_files
     from .config import PipelineConfig
     from .pipeline import extract_publish, read_docs_corpus
 
     _ray_up(args.num_cpus)
     cfg = PipelineConfig()
-    docs = read_docs_corpus(args.input)
     if args.checkpoint:
-        summary = run_with_checkpoint(
-            lambda: read_docs_corpus(args.input), args.output,
-            n_partitions=args.partitions, cfg=cfg)
-        print(json.dumps({"output": args.output, **summary}, default=str))
+        files = (sorted(glob.glob(os.path.join(args.input, "**", "*.parquet"),
+                                  recursive=True))
+                 if os.path.isdir(args.input) else [args.input])
+        summary = run_with_checkpoint_files(files, args.output, cfg=cfg)
+        print(json.dumps({"output": args.output, **summary}))
     else:
-        published = extract_publish(docs, cfg, args.output)
+        extract_publish(read_docs_corpus(args.input), cfg, args.output)
         with open(os.path.join(args.output, "PUBLISHED.json")) as f:
             manifest = json.load(f)
         print(json.dumps({"output": args.output, **manifest}))
@@ -112,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="parquet path/dir of DOCS_SCHEMA rows")
     ex.add_argument("--output", required=True, help="publish directory")
     ex.add_argument("--checkpoint", action="store_true",
-                    help="partition-manifest resumable variant")
-    ex.add_argument("--partitions", type=int, default=64)
+                    help="partition-manifest resumable variant, one "
+                         "partition per input parquet file")
     ex.add_argument("--num-cpus", type=int, default=None)
     ex.set_defaults(fn=cmd_extract)
 

@@ -2,9 +2,10 @@
 
 Baseline: brute-force cosine top-k — a numpy matmul per batch against a
 broadcast query matrix (ray.put once; never re-shipped per batch).
-Scale path: LSH (random-hyperplane) bucketing so each query only scans
-its probed buckets; an IVF variant would replace the hash with k-means
-centroids (same plumbing).
+Scale paths: LSH (random-hyperplane) bucketing so each query only scans
+its probed buckets, and an inverted-file (IVF) index whose cells come
+from an integer-exact k-means (same plumbing; streamed or persisted as
+cell-partitioned parquet).
 
 No reference analog (search there is Elasticsearch text search,
 DocumentSearchService.java); this is the training-data extension.
@@ -153,90 +154,14 @@ def lsh_topk(ds: Dataset, queries: np.ndarray, k: int = 10, n_bits: int = 12,
 
 
 # ---------------------------------------------------------------------------
-# IVF (inverted-file) variant — the k-means-bucketed scale path
-# ---------------------------------------------------------------------------
-
-def _kmeans_fit(sample: np.ndarray, n_centroids: int, n_iters: int = 8,
-                seed: int = 42) -> np.ndarray:
-    """Deterministic mini k-means on a driver-side sample (cosine space:
-    rows normalized, centroids re-normalized each iteration)."""
-    rng = np.random.RandomState(seed)
-    s = _normalize(np.asarray(sample, dtype=np.float64))
-    cents = s[rng.choice(s.shape[0], size=min(n_centroids, s.shape[0]), replace=False)]
-    for _ in range(n_iters):
-        assign = np.argmax(s @ cents.T, axis=1)
-        for c in range(cents.shape[0]):
-            members = s[assign == c]
-            if len(members):
-                cents[c] = members.mean(axis=0)
-        cents = _normalize(cents)
-    return cents
-
-
-class IvfIndexStage:
-    """Assign rows to their nearest centroid (broadcast centroids; one
-    matmul per batch)."""
-
-    def __init__(self, centroids_ref, vec_col: str = "embedding"):
-        import ray as _ray
-
-        self.centroids = _ray.get(centroids_ref)
-        self.vec_col = vec_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mat = _normalize(vectors_to_matrix(batch[self.vec_col]))
-        assign = np.argmax(mat @ self.centroids.T, axis=1).astype(np.int64)
-        return batch.append_column("ivf_cell", pa.array(assign, pa.int64()))
-
-
-def ivf_topk(ds: Dataset, queries: np.ndarray, k: int = 10, n_centroids: int = 16,
-             n_probe: int = 2, sample_rows: int = 10_000, seed: int = 42,
-             vec_col: str = "embedding", id_col: str = "vec_id",
-             concurrency=2) -> pa.Table:
-    """Approximate top-k via an inverted-file index: k-means centroids from
-    a bounded sample, rows bucketed by nearest centroid, each query scans
-    only its ``n_probe`` nearest cells. At 100 TB the cells map to
-    partition directories and the probe is a partition-pruned read; here
-    the prune is a broadcast-filter over the streamed dataset.
-    """
-    import ray as _ray
-
-    # deterministic unbiased sample: limit() would take only the first
-    # fragments; random_sample hashes uniformly across the dataset
-    n_total = ds.count()
-    frac = min(1.0, sample_rows / max(n_total, 1))
-    sample_ds = ds if frac >= 1.0 else ds.random_sample(frac, seed=seed)
-    sample = [r[vec_col] for r in sample_ds.take_all()]
-    cents = _kmeans_fit(np.stack(sample), n_centroids, seed=seed)
-    cents_ref = _ray.put(cents)
-
-    q = _normalize(np.asarray(queries, dtype=np.float64))
-    probe = np.argsort(-(q @ cents.T), axis=1)[:, :n_probe]
-    wanted_ref = _ray.put(pa.array(sorted(set(int(c) for c in probe.ravel())),
-                                   pa.int64()))
-
-    indexed = ds.map_batches(
-        IvfIndexStage, fn_constructor_kwargs=dict(centroids_ref=cents_ref, vec_col=vec_col),
-        batch_format="pyarrow", concurrency=concurrency,
-    )
-
-    def keep(batch: pa.Table) -> pa.Table:
-        w = _ray.get(wanted_ref)
-        return batch.filter(pc.is_in(batch["ivf_cell"], value_set=w))
-
-    candidates = indexed.map_batches(keep, batch_format="pyarrow")
-    return brute_force_topk(candidates, queries, k, vec_col, id_col)
-
-
-# ---------------------------------------------------------------------------
-# quantized IVF — integer-exact k-means (SQL-reproducible end to end)
+# IVF (inverted-file) index — integer-exact k-means (SQL-reproducible)
 # ---------------------------------------------------------------------------
 #
-# The float k-means above is the classic cosine form, but its argmax
-# boundaries and float means are engine-specific — no SQL oracle can
-# reproduce them bit-for-bit. The quantized variant redefines the fit in
-# EXACT integer arithmetic so the whole index is reproducible verbatim by
-# a DuckDB oracle (unrolled CTE iterations in __ray_entry__):
+# A float cosine k-means has argmax boundaries and float means that are
+# engine-specific — no SQL oracle can reproduce them bit-for-bit. The fit
+# here is defined in EXACT integer arithmetic so the whole index is
+# reproducible verbatim by a DuckDB oracle (unrolled CTE iterations in
+# __ray_entry__):
 #   * vectors quantized to int64 micros: floor(float64(v) * 1e6) — the
 #     same IEEE multiply+floor in numpy and SQL;
 #   * init = the vectors of the n_centroids smallest ids (deterministic,
@@ -248,7 +173,9 @@ def ivf_topk(ds: Dataset, queries: np.ndarray, k: int = 10, n_centroids: int = 1
 #     oracle uses the portable (s - ((s%n)+n)%n) // n form);
 #   * final ranking = exact float cosine over the probed candidates (the
 #     ann_topk discipline: rank-only output, ties by id).
-# Same IVF shape and scale story; only the fit arithmetic is quantized.
+# At 100 TB the cells map to partition directories and the probe is a
+# partition-pruned read (build_ivf_index_quantized); the streamed form
+# prunes by a broadcast filter.
 
 MICROS = 1_000_000
 
@@ -349,8 +276,9 @@ def ivf_topk_quantized(ds: Dataset, queries: np.ndarray, k: int = 5,
                        vec_col: str = "embedding", id_col: str = "vec_id",
                        sample_mod: int = 1) -> pa.Table:
     """IVF top-k with the quantized fit: candidates = rows in the UNION of
-    the queries' probed cells (ivf_topk's wanted-set discipline), exact
-    float-cosine re-rank, rank-only output (query_idx, rank, id)."""
+    the queries' probed cells (a broadcast wanted-set filter over the
+    streamed rows), exact float-cosine re-rank, rank-only output
+    (query_idx, rank, id)."""
     q = np.asarray(queries, dtype=np.float64)
     cents = kmeans_fit_quantized(ds, n_centroids, n_iters, vec_col, id_col,
                                  sample_mod=sample_mod)
@@ -376,8 +304,17 @@ def ivf_topk_quantized(ds: Dataset, queries: np.ndarray, k: int = 5,
 def build_ivf_index_quantized(ds: Dataset, index_dir: str, n_centroids: int = 8,
                               n_iters: int = 4, vec_col: str = "embedding",
                               id_col: str = "vec_id", sample_mod: int = 1) -> dict:
-    """build_ivf_index with the quantized fit: same partitioned-parquet
-    cell layout and commit manifest, int64 centroids, fully reproducible."""
+    """Materialize the quantized IVF index on disk: rows written as
+    parquet PARTITIONED BY cell (``ivf_cell=N/`` directories), int64
+    centroids + a manifest committed alongside, fully reproducible.
+    Queries (ivf_query_index_quantized) then touch only the probed cells'
+    files — a genuine partition-pruned read.
+
+    Layout:
+        index_dir/cells/ivf_cell=<c>/*.parquet   (vec rows of cell c)
+        index_dir/centroids.npy                  (n_centroids x dim, int64)
+        index_dir/INDEX.json                     (commit manifest)
+    """
     import json
     import os
     import shutil
@@ -434,88 +371,3 @@ def ivf_query_index_quantized(index_dir: str, queries: np.ndarray, k: int = 5,
     cells = ray.data.read_parquet(paths)
     return brute_force_topk(cells, q, k, meta["vec_col"], meta["id_col"]).select(
         ["query_idx", "rank", meta["id_col"]])
-
-
-# ---------------------------------------------------------------------------
-# persisted IVF index — partition-pruned reads (the 100 TB query path)
-# ---------------------------------------------------------------------------
-
-def build_ivf_index(ds: Dataset, index_dir: str, n_centroids: int = 16,
-                    sample_rows: int = 10_000, seed: int = 42,
-                    vec_col: str = "embedding", id_col: str = "vec_id") -> dict:
-    """Materialize an IVF index on disk: rows written as parquet
-    PARTITIONED BY cell (``ivf_cell=N/`` directories), centroids + a
-    manifest committed alongside. Queries then touch only the probed
-    cells' files — a genuine partition-pruned read, unlike the streamed
-    broadcast-filter in ivf_topk.
-
-    Layout:
-        index_dir/cells/ivf_cell=<c>/*.parquet   (vec rows of cell c)
-        index_dir/centroids.npy                  (n_centroids x dim)
-        index_dir/INDEX.json                     (commit manifest)
-    """
-    import json
-    import os
-    import shutil
-
-    import ray as _ray
-
-    n_total = ds.count()
-    frac = min(1.0, sample_rows / max(n_total, 1))
-    sample_ds = ds if frac >= 1.0 else ds.random_sample(frac, seed=seed)
-    sample = [r[vec_col] for r in sample_ds.take_all()]
-    cents = _kmeans_fit(np.stack(sample), n_centroids, seed=seed)
-    cents_ref = _ray.put(cents)
-
-    cells_dir = os.path.join(index_dir, "cells")
-    manifest = os.path.join(index_dir, "INDEX.json")
-    shutil.rmtree(index_dir, ignore_errors=True)
-    os.makedirs(index_dir, exist_ok=True)
-    indexed = ds.map_batches(
-        IvfIndexStage,
-        fn_constructor_kwargs=dict(centroids_ref=cents_ref, vec_col=vec_col),
-        batch_format="pyarrow", concurrency=2,
-    )
-    indexed.write_parquet(cells_dir, partition_cols=["ivf_cell"])
-    np.save(os.path.join(index_dir, "centroids.npy"), cents)
-    meta = {"n_centroids": int(cents.shape[0]), "dim": int(cents.shape[1]),
-            "n_rows": int(n_total), "vec_col": vec_col, "id_col": id_col}
-    tmp = manifest + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.rename(tmp, manifest)  # commit point
-    return meta
-
-
-def ivf_query_index(index_dir: str, queries: np.ndarray, k: int = 10,
-                    n_probe: int = 2) -> pa.Table:
-    """Query a persisted IVF index: rank cells per query against the saved
-    centroids, READ ONLY the probed cells' partition directories, exact
-    cosine re-rank inside. I/O scales with probed cells, not corpus size.
-    """
-    import json
-    import os
-
-    with open(os.path.join(index_dir, "INDEX.json")) as f:
-        meta = json.load(f)
-    cents = np.load(os.path.join(index_dir, "centroids.npy"))
-    q = _normalize(np.asarray(queries, dtype=np.float64))
-    probe = np.argsort(-(q @ cents.T), axis=1)[:, :n_probe]
-    wanted = sorted(set(int(c) for c in probe.ravel()))
-    dirs = [os.path.join(index_dir, "cells", f"ivf_cell={c}") for c in wanted]
-    # expand to files: read_parquet accepts one directory but a LIST must
-    # be file paths (empty cells simply have no directory)
-    paths = [
-        os.path.join(d, f)
-        for d in dirs if os.path.isdir(d)
-        for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-    ]
-    if not paths:
-        return pa.table({"query_idx": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         meta["id_col"]: pa.array([], pa.int64()),
-                         "cos": pa.array([], pa.float64())})
-    cells = ray.data.read_parquet(paths)
-    return brute_force_topk(cells, queries, k, meta["vec_col"], meta["id_col"])

@@ -3,12 +3,12 @@
 Mirrors the reference's OcrProperties knob surface
 (ocrprocessing/config/OcrProperties.java:25-57,85-116): provider choice +
 fallback chain, size caps, retries — plus the Ray-specific execution
-levers (batch sizes, actor-pool concurrency, shuffle bucket count).
+levers (batch sizes, actor-pool concurrency).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,13 +27,5 @@ class PipelineConfig:
     ocr_compute: str = "auto"           # "auto": actor pool iff a provider in
                                         # the chain requires warm engine state,
                                         # else worker-cached tasks
-    reassemble_buckets: int = 64        # coarse shuffle key: hash(doc_id)%B —
-                                        # B group calls instead of one per doc
-    reassembly: str = "local"           # "local" (block-merge + slim verify +
-                                        # targeted repair) | "shuffle" (literal
-                                        # groupby+sort of span payloads)
-    verify_colocation: bool = True      # slim dup check + repair on local path
-    output_partitions: int = 16         # resumable-output shards
 
     seed: int = 42
-    extra: dict = field(default_factory=dict)

@@ -698,38 +698,6 @@ def _ngrams(text: str, width: int):
     return [words[i:i + width] for i in range(len(words) - width + 1)]
 
 
-def verify_pairs_jaccard(ds: Dataset, pairs: Dataset, threshold: float,
-                         text_col: str = "text", id_col: str = "doc_id") -> Dataset:
-    """Exact-Jaccard verification of candidate pairs.
-
-    Texts of candidate ids are broadcast (the candidate set is orders of
-    magnitude smaller than the corpus); each pair verified vectorized-free
-    but only over candidates.
-    """
-    pair_rows = pairs.take_all()
-    cand_ids = {p["a"] for p in pair_rows} | {p["b"] for p in pair_rows}
-    cand_ids_ref = ray.put(pa.array(sorted(cand_ids), pa.int64()))
-
-    def pick(batch: pa.Table) -> pa.Table:
-        cands = ray.get(cand_ids_ref)
-        return batch.filter(
-            pc.is_in(batch[id_col], value_set=cands)).select([id_col, text_col])
-
-    texts = {r[id_col]: r[text_col] for r in
-             ds.map_batches(pick, batch_format="pyarrow").take_all()}
-    out = [
-        {"a": p["a"], "b": p["b"],
-         "jaccard": round(ngram_jaccard(texts.get(p["a"], ""), texts.get(p["b"], "")), 6)}
-        for p in pair_rows
-    ]
-    out = [r for r in out if r["jaccard"] >= threshold]
-    if not out:
-        return ray.data.from_arrow(pa.table({
-            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64())}))
-    return ray.data.from_items(out)
-
-
 def jaccard_verified_pairs(ds: Dataset, pairs: Dataset,
                            threshold_micros: int = 500_000,
                            text_col: str = "text", id_col: str = "doc_id",

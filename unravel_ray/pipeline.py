@@ -6,8 +6,9 @@ collapses into one lazy streaming Dataset plan:
 
     read → explode_extract (stateless tasks)
          → OcrStage (actor pool, warm providers)
-         → reassembly: block-local merge + slim groupby(doc_id) verify
-           (+ targeted repair), or literal groupby(hash(doc_id)%B)+sort
+         → finalize_block: block-local merge + in-doc sort(offset, sub);
+           docs split by a block cut come out as marker rows and are
+           recomputed from source (targeted repair)
          → extracted
     extracted → groupby(collection_id) aggregate → rollup   # G2
 
@@ -33,15 +34,7 @@ from ray.data import Dataset
 
 from .config import PipelineConfig
 from .schema import EXTRACTED_SCHEMA, SPLIT_MARKER_STATUS
-from .stages import (
-    OcrStage,
-    add_bucket,
-    explode_extract,
-    finalize_block,
-    finalize_bucket,
-    ocr_task,
-    pack_partials,
-)
+from .stages import OcrStage, explode_extract, finalize_block, ocr_task
 from .synth import interleave_documents_batch
 
 
@@ -97,48 +90,29 @@ def _ocr_stage(units: Dataset, cfg: PipelineConfig) -> Dataset:
 def build_extraction(ds: Dataset, cfg: PipelineConfig | None = None) -> Dataset:
     """docs (DOCS_SCHEMA) -> extracted (EXTRACTED_SCHEMA).
 
-    Reassembly strategies (cfg.reassembly):
-
-    * "local" (default): explode_extract keeps each doc's work units
-      contiguous in one block, so reassembly is a shuffle-free per-block
-      merge + in-doc sort(offset, sub). A slim groupby(doc_id) count then
-      verifies no doc was split by a mid-table block cut (possible only
-      when a map output exceeds target_max_block_size); any split doc is
-      recomputed exactly from the source (_repair_split_docs). Net effect:
-      only doc_id strings ever ride a shuffle — measured 20x faster than
-      shipping span payloads through Ray's sort (16 MB/s) at equal output.
-
-    * "shuffle": the literal pack -> groupby(hash(doc_id)%B) ->
-      sort-within-group restore. Payload-heavy but layout-independent;
-      kept for comparison and as a fallback.
+    explode_extract keeps each doc's work units contiguous in one block,
+    so finalize_block reassembles each doc inside its block: merge +
+    in-doc sort(offset, sub). A doc split by a mid-table block cut
+    (possible only when a map output exceeds target_max_block_size) comes
+    out as a SPLIT_MARKER_STATUS row and is recomputed exactly from the
+    source (_repair_split_docs). No span payload ever rides a shuffle.
     """
     cfg = cfg or PipelineConfig()
-    extracted = _build_extraction_core(ds, cfg)
-    if cfg.reassembly != "shuffle" and cfg.verify_colocation:
-        extracted = _repair_split_docs(ds, extracted, cfg)
-    return extracted
+    return _repair_split_docs(ds, _build_extraction_core(ds, cfg), cfg)
 
 
 def _build_extraction_core(ds: Dataset, cfg: PipelineConfig) -> Dataset:
-    """The raw streaming plan: explode -> OCR -> reassemble. On the local
-    path the output may contain SPLIT_MARKER_STATUS rows for docs whose
-    work units straddled a block boundary (detected block-locally via
-    n_units — no shuffle); callers resolve them via _repair_split_docs
-    (in-memory) or extract_publish (write-audit-publish)."""
+    """The raw streaming plan: explode -> OCR -> finalize_block. The output
+    may contain SPLIT_MARKER_STATUS rows for docs whose work units
+    straddled a block boundary (detected block-locally via n_units — no
+    shuffle); callers resolve them via _repair_split_docs (in-memory),
+    extract_publish (write-audit-publish) or run_with_checkpoint_files
+    (recompute at commit)."""
     units = ds.map_batches(
         explode_extract, batch_format="pyarrow", batch_size=cfg.explode_batch_size
     )
-    ocred = _ocr_stage(units, cfg)
-    if cfg.reassembly == "shuffle":
-        packed = ocred.map_batches(pack_partials, batch_format="pyarrow", batch_size=None)
-        bucketed = packed.map_batches(
-            add_bucket, fn_kwargs={"n_buckets": cfg.reassemble_buckets},
-            batch_format="pyarrow",
-        )
-        return bucketed.groupby("bucket").map_groups(
-            finalize_bucket, batch_format="pyarrow"
-        )
-    return ocred.map_batches(finalize_block, batch_format="pyarrow", batch_size=None)
+    return _ocr_stage(units, cfg).map_batches(
+        finalize_block, batch_format="pyarrow", batch_size=None)
 
 
 def _marker_ids(t: pa.Table) -> pa.Table:
@@ -208,17 +182,17 @@ def _recompute_docs(docs: Dataset, dup_ids: frozenset, cfg: PipelineConfig) -> D
 
 
 def _repair_split_docs(docs: Dataset, extracted: Dataset, cfg: PipelineConfig) -> Dataset:
-    """Correctness net for local reassembly, in-memory variant: incomplete
-    docs already self-identify as SPLIT_MARKER_STATUS rows (block-local
-    n_units check inside finalize_block — no groupby, nothing shuffles).
-    Here we pin the output once (it is the final in-memory result being
-    handed back; callers are tests and small composable pipelines), scan
-    for markers, and splice in an exact recompute of just those docs.
-    The unbounded paths avoid this entirely and never materialize
-    anything: run_flagship/entry use extract_publish and
-    checkpoint.run_with_checkpoint uses _write_partition_streaming (both
-    audit WRITTEN output via parquet footers); run_with_checkpoint_files
-    gets marker doc_ids from its workers' per-block summary rows.
+    """Correctness net for block-local reassembly, in-memory variant:
+    incomplete docs already self-identify as SPLIT_MARKER_STATUS rows
+    (block-local n_units check inside finalize_block — no groupby,
+    nothing shuffles). Here we pin the output once (it is the final
+    in-memory result being handed back; callers are tests and small
+    composable pipelines), scan for markers, and splice in an exact
+    recompute of just those docs. The unbounded paths avoid this entirely
+    and never materialize anything: run_flagship/entry use
+    extract_publish (audits WRITTEN output via parquet footers) and
+    checkpoint.run_with_checkpoint_files gets marker doc_ids from its
+    workers' per-block summary rows.
     """
     extracted = extracted.materialize()
     marker_rows = extracted.map_batches(_marker_ids, batch_format="pyarrow").take_all()
@@ -453,7 +427,7 @@ def flagship_publish_dir(sf_dir: str, cfg: PipelineConfig) -> str:
     extraction run instead of re-running the pipeline each."""
     key = hashlib.blake2b(
         f"{os.path.abspath(sf_dir)}:{_input_fingerprint(sf_dir)}:"
-        f"{cfg.seed}:{cfg.reassembly}:"
+        f"{cfg.seed}:"
         f"{cfg.preferred_provider}:{cfg.fallback_chain}:{_code_fingerprint()}".encode(),
         digest_size=10,
     ).hexdigest()

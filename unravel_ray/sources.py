@@ -73,7 +73,7 @@ def ingest_binary_files(paths: str | list[str]) -> Dataset:
 
 def write_extracted(extracted: Dataset, out_dir: str) -> None:
     """Partitioned parquet sink (S6 Postgres-save analog). For resumable
-    partition-granular commits use checkpoint.run_with_checkpoint."""
+    partition-granular commits use checkpoint.run_with_checkpoint_files."""
     extracted.write_parquet(out_dir)
 
 

@@ -8,11 +8,9 @@ Stage graph (pipeline.py composes these):
          ├─map_batches──> OCR               (actor pool when a provider
          │                 needs warm engine state, else worker-cached
          │                 tasks — see pipeline._ocr_stage)
-         ├─reassembly──> finalize_block     (local merge + in-doc
-         │                 sort(offset, sub); slim groupby(doc_id)
-         │                 verification + targeted repair in pipeline.py)
-         │              OR pack_partials -> groupby(bucket) -> finalize_bucket
-         │                 (literal payload shuffle variant)
+         ├─map_batches──> finalize_block    (block-local merge + in-doc
+         │                 sort(offset, sub); split docs become marker
+         │                 rows, repaired from source in pipeline.py)
          └─> extracted (EXTRACTED_SCHEMA)
 
 Skew note (SURVEY.md §4): a 400-page scanned PDF becomes 400 independent
@@ -23,13 +21,10 @@ task — this is the explicit doc-size-skew defeat the north rule asks for.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .config import PipelineConfig
 from .html_extract import extract_html_spans, split_plain_text
 from .pages import PageSelectionError, resolve_pages
 from .pdftext import join_direct, join_ocr, needs_ocr_mode
@@ -423,116 +418,6 @@ class OcrStage:
         return apply_ocr(batch, self.registry)
 
 
-def add_bucket(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Coarse shuffle key: crc32(doc_id) % B (deterministic across runs)."""
-    ids = batch["doc_id"].to_pylist()
-    buckets = np.fromiter(
-        (zlib.crc32(s.encode()) % n_buckets for s in ids), dtype=np.int32, count=len(ids)
-    )
-    return batch.append_column("bucket", pa.array(buckets, pa.int32()))
-
-
-# ---------------------------------------------------------------------------
-# combiner: pack per-doc partials BEFORE the shuffle
-# ---------------------------------------------------------------------------
-
-_UNIT_STRUCT = pa.struct(
-    [
-        pa.field("kind", pa.string()),
-        pa.field("text", pa.string()),
-        pa.field("media_ref", pa.string()),
-        pa.field("offset", pa.int32()),
-        pa.field("sub", pa.int32()),
-        pa.field("page_no", pa.int32()),
-        pa.field("pdf_mode", pa.string()),
-        pa.field("error_message", pa.string()),
-        pa.field("ocr_provider", pa.string()),
-        pa.field("ocr_confidence_bp", pa.int32()),
-        pa.field("ocr_language", pa.string()),
-    ]
-)
-
-PARTIAL_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("collection_id", pa.string()),
-        pa.field("doc_status", pa.string()),
-        pa.field("val_error", pa.string()),
-        pa.field("metadata", pa.string()),
-        pa.field("units", pa.list_(_UNIT_STRUCT)),
-    ]
-)
-
-_UNIT_FIELDS = ("kind", "text", "media_ref", "offset", "sub", "page_no",
-                "pdf_mode", "error_message", "ocr_provider",
-                "ocr_confidence_bp", "ocr_language")
-
-
-def _pack_rows(rows: list[dict]) -> list[dict]:
-    """Collapse work-unit row dicts into one partial dict per doc."""
-    by_doc: dict[str, dict] = {}
-    for r in rows:
-        d = by_doc.get(r["doc_id"])
-        if d is None:
-            d = by_doc[r["doc_id"]] = {
-                "doc_id": r["doc_id"],
-                "collection_id": r["collection_id"],
-                "doc_status": r["doc_status"],
-                "val_error": (r["error_message"]
-                               if r["doc_status"] in ("failed_validation", "failed_storage")
-                               else None),
-                "metadata": r.get("metadata"),
-                "units": [],
-            }
-        if r["kind"] is not None or r["error_message"]:
-            d["units"].append({f: r.get(f) for f in _UNIT_FIELDS})
-    return list(by_doc.values())
-
-
-def pack_partials(batch: pa.Table) -> pa.Table:
-    """Combiner (classic pre-aggregation before groupby, see ray_guide
-    'Aggregation at scale'): collapse this block's work-unit rows into one
-    partial row per doc — the reassembly shuffle then moves ~n_docs rows,
-    not ~n_spans rows (18x fewer at the bench mix). Docs split across
-    blocks (possible only if an upstream block was split mid-doc) simply
-    produce two partials that the grouped merge concatenates — correctness
-    never depends on block contiguity."""
-    return pa.Table.from_pylist(_pack_rows(batch.to_pylist()), schema=PARTIAL_SCHEMA)
-
-
-def _merge_partial_rows(partials: list[dict]) -> list[dict]:
-    """Merge packed partial rows (PARTIAL_SCHEMA dicts) into EXTRACTED rows."""
-    merged: dict[str, dict] = {}
-    for r in partials:
-        d = merged.get(r["doc_id"])
-        if d is None:
-            merged[r["doc_id"]] = r
-        else:
-            d["units"].extend(r["units"])
-            if r["doc_status"] in ("failed_validation", "failed_storage"):
-                d["doc_status"] = r["doc_status"]
-                d["val_error"] = d["val_error"] or r["val_error"]
-    out = []
-    for doc_id in sorted(merged):
-        p = merged[doc_id]
-        units = sorted(p["units"], key=lambda u: (u["offset"], u["sub"]))
-        for u in units:
-            u["doc_id"] = p["doc_id"]
-            u["collection_id"] = p["collection_id"]
-            u["doc_status"] = p["doc_status"]
-            u["metadata"] = p.get("metadata")
-        if p["doc_status"] in ("failed_validation", "failed_storage") or not units:
-            units = [{
-                "doc_id": p["doc_id"], "collection_id": p["collection_id"],
-                "doc_status": p["doc_status"], "error_message": p["val_error"],
-                "metadata": p.get("metadata"),
-                "kind": None, "text": None, "media_ref": None, "offset": 0,
-                "sub": 0, "page_no": None, "pdf_mode": None, "ocr_provider": None,
-            }]
-        out.append(_reassemble_doc(units))
-    return out
-
-
 _SPANS_TYPE = EXTRACTED_SCHEMA.field("spans").type
 
 
@@ -757,83 +642,4 @@ def _dense_offsets(span_offsets: np.ndarray) -> np.ndarray:
     if len(span_offsets) > 1:
         out -= np.repeat(span_offsets[:-1].astype(np.int32),
                          np.diff(span_offsets))
-    return out
-
-
-def finalize_bucket(group: pa.Table) -> pa.Table:
-    """Grouped merge + in-doc sort(offset, sub) + final span assembly —
-    the literal groupby(bucket)+sort shuffle variant (cfg.reassembly=
-    'shuffle'). Correct at any block layout, but Ray's sort moves the full
-    span payload (~16 MB/s measured) — prefer the default local+repair
-    path, which shuffles nothing."""
-    if group.num_rows == 0:
-        return EXTRACTED_SCHEMA.empty_table()
-    return pa.Table.from_pylist(
-        _merge_partial_rows(group.to_pylist()), schema=EXTRACTED_SCHEMA
-    )
-
-
-def _reassemble_doc(rows: list[dict]) -> dict:
-    first = rows[0]
-    out = {
-        "doc_id": first["doc_id"],
-        "collection_id": first["collection_id"],
-        "spans": [],
-        "status": "completed",
-        "error_message": None,
-        "provider": "direct",
-        "n_spans": 0,
-        "n_chars": 0,
-        "confidence_micros": None,
-        "language_detected": None,
-        "metadata": first.get("metadata"),
-    }
-    if first["doc_status"] in ("failed_validation", "failed_storage"):
-        out["status"] = first["doc_status"]
-        out["error_message"] = first["error_message"]
-        out["provider"] = None
-        return out
-
-    failure = next((r for r in rows if r["error_message"]), None)
-    used = next((r["ocr_provider"] for r in rows if r.get("ocr_provider")), None)
-    if failure is not None:
-        out["status"] = "failed"
-        out["error_message"] = failure["error_message"]
-        out["provider"] = used or failure.get("ocr_provider")
-        return out
-
-    emitted: list[tuple[str, str | None, str | None]] = []
-    pdf_rows = [r for r in rows if r["kind"] == "pdf_page"]
-    pdf_emitted = False
-    for r in rows:
-        kind = r["kind"]
-        if kind is None:
-            continue
-        if kind == "pdf_page":
-            if pdf_emitted:
-                continue
-            pdf_emitted = True
-            pages = [(p["page_no"], p["text"]) for p in pdf_rows]
-            joined = (
-                join_ocr(pages) if pdf_rows[0]["pdf_mode"] == "ocr" else join_direct(pages)
-            )
-            if joined:
-                emitted.append(("pdf_text", joined, None))
-        elif kind == "image":
-            emitted.append(("ocr_text", r["text"], r["media_ref"]))
-        else:
-            emitted.append((kind, r["text"], r["media_ref"]))
-
-    out["spans"] = [
-        {"kind": k, "text": t, "media_ref": m, "offset": idx}
-        for idx, (k, t, m) in enumerate(emitted)
-    ]
-    out["provider"] = used or "direct"
-    out["n_spans"] = len(emitted)
-    out["n_chars"] = sum(len(t) for _, t, _ in emitted if t)
-    bps = [r["ocr_confidence_bp"] for r in rows if r.get("ocr_confidence_bp") is not None]
-    if bps:
-        out["confidence_micros"] = (sum(bps) * 100) // len(bps)
-        out["language_detected"] = next(
-            r["ocr_language"] for r in rows if r.get("ocr_language") is not None)
     return out
