@@ -36,15 +36,13 @@ def entry() -> Any:
 # queries
 # ---------------------------------------------------------------------------
 
-def _read_documents(sf_dir: str, columns: list[str]):
-    """documents.parquet is one row group: split it into 16 blocks at read
-    time so the Python stages after it run in parallel. Ray plans this as
-    ReadParquet->SplitBlocks(16), which fuses into the next map — no
-    repartition barrier — and keeps row order."""
-    import ray.data
+def _read(sf_dir: str, table: str, columns: list[str]):
+    """Every sf-table read goes through ``relational._pq``: one block per
+    session CPU, more once the selected columns outgrow the block byte
+    target (``relational.read_parquet_sized``)."""
+    from unravel_ray.relational import _pq
 
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=columns, override_num_blocks=16)
+    return _pq(sf_dir, table, columns)
 
 
 def _flagship_extract(sf_dir: str):
@@ -62,18 +60,16 @@ def _flagship_rollup(sf_dir: str):
 
 
 def _dedup_exact(sf_dir: str):
-    import ray.data
-
     from unravel_ray.dedup import exact_dedup
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return exact_dedup(ds)
 
 
 def _minhash_pairs(sf_dir: str):
     from unravel_ray.dedup import minhash_candidate_pairs
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return minhash_candidate_pairs(ds, threshold=0.5)
 
 
@@ -83,7 +79,7 @@ def _jaccard_pairs(sf_dir: str):
     of ngram_jaccard)."""
     from unravel_ray.dedup import jaccard_verified_pairs, minhash_candidate_pairs
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = minhash_candidate_pairs(ds, threshold=0.5)
     return jaccard_verified_pairs(ds, pairs, threshold_micros=500_000)
 
@@ -91,23 +87,20 @@ def _jaccard_pairs(sf_dir: str):
 def _simhash_pairs(sf_dir: str):
     from unravel_ray.dedup import simhash_buckets
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return simhash_buckets(ds, max_hamming=6)
 
 
 def _embedding_neardup(sf_dir: str):
-    import ray.data
-
     from unravel_ray.dedup import embedding_neardup
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return embedding_neardup(ds, threshold=0.35).select_columns(["a", "b"])
 
 
 def _ann_topk(sf_dir: str):
     import numpy as np
     import pyarrow.parquet as pq
-    import ray.data
 
     from unravel_ray.ann import brute_force_topk
 
@@ -117,7 +110,7 @@ def _ann_topk(sf_dir: str):
     queries = np.stack(
         [np.asarray(t["embedding"][order[v]].as_py(), dtype=np.float64) for v in queries_rows]
     )
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     out = brute_force_topk(ds, queries, k=10)
     return out.select(["query_idx", "rank", "vec_id"])
 
@@ -137,12 +130,10 @@ def _ivf_query_vectors(sf_dir: str):
 def _ivf_topk(sf_dir: str):
     """Quantized IVF (integer-exact k-means; see ann.py) — rank-only
     output, fully reproduced by the unrolled-CTE DuckDB oracle."""
-    import ray.data
-
     from unravel_ray.ann import ivf_topk_quantized
 
     q = _ivf_query_vectors(sf_dir)
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     # sample_mod=5: fit on the deterministic 1-in-5 id sample (the 100 TB
     # shape — fit passes scan the sample, assignment one full pass)
     return ivf_topk_quantized(ds, q, k=5, n_centroids=8, n_iters=4, n_probe=2,
@@ -156,7 +147,6 @@ def _lsh_topk(sf_dir: str):
     ann_topk's oracle)."""
     import numpy as np
     import pyarrow.parquet as pq
-    import ray.data
 
     from unravel_ray.ann import lsh_topk
 
@@ -164,7 +154,7 @@ def _lsh_topk(sf_dir: str):
     order = {v: i for i, v in enumerate(t["vec_id"].to_pylist())}
     q = np.stack([np.asarray(t["embedding"][order[v]].as_py(), dtype=np.float64)
                   for v in (0, 1)])
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return lsh_topk(ds, q, k=5, n_bits=8).select(["query_idx", "rank", "vec_id"])
 
 
@@ -182,7 +172,7 @@ def _ivf_index_topk(sf_dir: str):
     from unravel_ray.ann import build_ivf_index_quantized, ivf_query_index_quantized
 
     q = _ivf_query_vectors(sf_dir)
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     idx_dir = tempfile.mkdtemp(prefix="unravel-ivf-")
     try:
         build_ivf_index_quantized(ds, idx_dir, n_centroids=8, n_iters=4, sample_mod=5)
@@ -197,14 +187,14 @@ def _ivf_index_topk(sf_dir: str):
 def _lang_distribution(sf_dir: str):
     from unravel_ray.textstats import lang_distribution
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return lang_distribution(ds)
 
 
 def _quality_scores(sf_dir: str):
     from unravel_ray.textstats import QualityStage
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(QualityStage, batch_format="pyarrow", concurrency=2).select_columns(
         ["doc_id", "n_words", "n_punct", "n_stopwords", "quality_score_micros"]
     )
@@ -213,7 +203,7 @@ def _quality_scores(sf_dir: str):
 def _fingerprints(sf_dir: str):
     from unravel_ray.textstats import fingerprints
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return fingerprints(ds)
 
 
@@ -223,14 +213,14 @@ def _pack_sequences(sf_dir: str):
     seq_len packs."""
     from unravel_ray.textstats import pack_sequences
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return pack_sequences(ds)
 
 
 def _vocab_top_words(sf_dir: str):
     from unravel_ray.textstats import vocab_top_words
 
-    ds = _read_documents(sf_dir, ["text"])
+    ds = _read(sf_dir, "documents", ["text"])
     return vocab_top_words(ds)
 
 
@@ -239,17 +229,16 @@ def _heavy_hitter_words(sf_dir: str):
     sketch + exact recount verify (sketch.heavy_hitter_words)."""
     from unravel_ray.sketch import heavy_hitter_words
 
-    ds = _read_documents(sf_dir, ["text"])
+    ds = _read(sf_dir, "documents", ["text"])
     return heavy_hitter_words(ds, min_count=900, k=512)
 
 
 def _token_stats(sf_dir: str):
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
     from unravel_ray.textstats import token_counts
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    ds = _read(sf_dir, "documents", ["lang", "text"])
     return (
         token_counts(ds)
         .groupby("lang")
@@ -448,7 +437,7 @@ def _extraction_confidence(sf_dir: str):
 def _minhash_clusters(sf_dir: str):
     from unravel_ray.dedup import minhash_dedup
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return minhash_dedup(ds, threshold=0.5)
 
 
@@ -482,12 +471,9 @@ def _distinct_users_hll(sf_dir: str):
     merge with MAX and the shuffle payload is 256 slim ints per group
     regardless of cardinality). Integer-deterministic end to end — see
     unravel_ray/sketch.py for the cross-engine contract."""
-    import ray.data
-
     from unravel_ray.sketch import exact_distinct_by, hll_estimate
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "user_id"])
+    ds = _read(sf_dir, "events", ["event_type", "user_id"])
     est = hll_estimate(ds, "user_id", "event_type")
     ex = exact_distinct_by(ds, "user_id", "event_type")
     out = est.join(ex, keys="g").rename_columns(
@@ -499,7 +485,7 @@ def _distinct_users_hll(sf_dir: str):
 def _inverted_index(sf_dir: str):
     from unravel_ray.textstats import inverted_index
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return inverted_index(ds)
 
 
@@ -512,12 +498,9 @@ def _tfidf_rank(sf_dir: str):
 def _dataset_splits(sf_dir: str):
     """Deterministic stratified train/val/test split accounting (see
     textstats.assign_splits: split byte = sha256('split:'+id)[:2])."""
-    import ray.data
-
     from unravel_ray.textstats import split_accounting
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang", "n_chars"])
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return split_accounting(ds)
 
 
@@ -532,7 +515,7 @@ def _gopher_quality(sf_dir: str):
     character coverage, keep flag) — exact integer micro-ratios."""
     from unravel_ray.textstats import gopher_quality
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return gopher_quality(ds).select_columns([
         "doc_id", "n_words", "n_distinct_words", "dup_word_frac_micros",
         "top_bigram", "top_bigram_cnt", "top_bigram_frac_micros",
@@ -544,7 +527,7 @@ def _decontaminate(sf_dir: str):
     (doc_id % 50 != 0) against the broadcast eval shingle set."""
     from unravel_ray.textstats import decontaminate
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return decontaminate(ds, eval_mod=50, n=3)
 
 
@@ -554,7 +537,7 @@ def _dup_passages(sf_dir: str):
     duplicate-window counts + exact micro-fraction."""
     from unravel_ray.textstats import dup_passages
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return dup_passages(ds, k=5)
 
 
@@ -563,7 +546,7 @@ def _domain_mixture(sf_dir: str):
     sampling weights (domain-mixture reweighting), exact micros."""
     from unravel_ray.textstats import domain_mixture
 
-    ds = _read_documents(sf_dir, ["source", "text"])
+    ds = _read(sf_dir, "documents", ["source", "text"])
     return domain_mixture(ds)
 
 
@@ -582,7 +565,7 @@ def _sample_to_budget(sf_dir: str):
     segment-prefix fold — no global sort, no driver row data)."""
     from unravel_ray.textstats import sample_to_budget
 
-    ds = _read_documents(sf_dir, ["doc_id", "text", "source"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return sample_to_budget(ds, total_tokens=100_000)
 
 
@@ -601,7 +584,7 @@ def _curate_corpus(sf_dir: str):
     one lazy chain with only slim-row shuffles."""
     from unravel_ray.textstats import curate_corpus
 
-    ds = _read_documents(sf_dir, ["doc_id", "text", "source"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return curate_corpus(ds)
 
 
@@ -612,7 +595,7 @@ def _size_quantile_sketch(sf_dir: str):
     exact doc_size_percentiles)."""
     from unravel_ray.sketch import quantile_sketch
 
-    ds = _read_documents(sf_dir, ["lang", "n_chars"])
+    ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return quantile_sketch(ds, value_col="n_chars", group_col="lang")
 
 

@@ -178,6 +178,35 @@ def test_minhash_dedup_degrades_to_distributed(ray_session):
     assert via_driver[4] == 1  # exact dup clusters to min member id
 
 
+def test_shingle_hashes_batch_matches_scalar_per_row():
+    """The batch shingle kernel gives every row exactly the scalar
+    `_shingle_hashes` output, in order: null, empty, 1 and 2 words (one
+    fold over all words), whitespace the tokenizer does and does not
+    split on, simple-mapping lowercase, and the sf0.001 documents."""
+    import pyarrow.parquet as pq
+
+    from unravel_ray.dedup import _shingle_hashes, _shingle_hashes_batch
+
+    docs = pq.read_table("/root/testdata/sf0.001/documents.parquet",
+                         columns=["text"])["text"].to_pylist()
+    texts = [None, "", "   ", "one", "one two", "a b c", "a b c d",
+             "tab\tseparated\twords here", "vertical\x0btab and\x1cfs",
+             "hello\xa0world", "İstanbul İ DOĞU words", " x ", None,
+             "two words"] + docs
+    flat, counts = _shingle_hashes_batch(pa.array(texts, pa.string()))
+    assert counts.size == len(texts) and counts.sum() == flat.size
+    ends = np.cumsum(counts)
+    for t, c, e in zip(texts, counts, ends):
+        assert np.array_equal(flat[e - c:e], _shingle_hashes(t)), t
+    # a chunked column gives the same, and an empty one gives nothing
+    chunked = pa.chunked_array([pa.array(texts[:5], pa.string()),
+                                pa.array(texts[5:], pa.string())])
+    f2, c2 = _shingle_hashes_batch(chunked)
+    assert np.array_equal(f2, flat) and np.array_equal(c2, counts)
+    f0, c0 = _shingle_hashes_batch(pa.array([], pa.string()))
+    assert f0.size == 0 and c0.size == 0
+
+
 def test_minhash_stage_vectorized_matches_per_doc_reference():
     """The batched signature kernel (flat concat + reduceat + in-place
     scratch) must be byte-identical to the naive per-doc form — bucket

@@ -315,6 +315,19 @@ def test_orders_cust_side_schemas_match_probe(ray_session, tmp_path):
             [s.remove_metadata() for s in probed], kw
 
 
+def test_purchase_click_side_schemas_match_probe(ray_session):
+    """The side schemas _purchase_click_sides derives from the events
+    footer (no Ray execution) equal what a schema() probe of each side's
+    plan returns — the click side's probe runs its whole dedup
+    aggregate."""
+    from unravel_ray.relational import _purchase_click_sides
+
+    purchases, clicks, schemas = _purchase_click_sides("/root/testdata/sf0.001")
+    probed = [d.schema().base_schema for d in (purchases, clicks)]
+    assert [s.remove_metadata() for s in schemas] == \
+        [s.remove_metadata() for s in probed]
+
+
 def test_asof_join_semantics(ray_session):
     """Backward as-of: last right row with ts <= left ts per key; nulls
     when nothing precedes; keys missing from right entirely -> nulls."""
@@ -346,6 +359,17 @@ def test_asof_join_semantics(ray_session):
     tie = asof_join(left2, right, by="k", on="t",
                     right_keep=["rv"]).take_all()[0]
     assert tie["rv"] == "r20"
+    # caller-given schemas: the same as the probed ones, the same output
+    given = (pa.schema([("lid", pa.int64()), ("k", pa.string()),
+                        ("t", pa.int64())]),
+             pa.schema([("k", pa.string()), ("t", pa.int64()),
+                        ("rv", pa.string())]))
+    assert [d.schema().base_schema.remove_metadata() for d in (left, right)] \
+        == list(given)
+    with_given = {r["lid"]: r for r in asof_join(
+        left, right, by="k", on="t", right_keep=["rv", "t"],
+        schemas=given).take_all()}
+    assert with_given == out
 
 
 def test_asof_join_blocked_matches_bruteforce(ray_session):
@@ -381,6 +405,10 @@ def test_asof_join_blocked_matches_bruteforce(ray_session):
         left, right, by="k", on="t", right_keep=["t"],
         n_blocks=3).take_all()}
     assert len(out) == len(lrows)
+    given = tuple(d.schema().base_schema for d in (left, right))
+    assert {r["lid"]: r for r in asof_join(
+        left, right, by="k", on="t", right_keep=["t"], n_blocks=3,
+        schemas=given).take_all()} == out
     for lid, k, t in lrows:
         prior = [rt for rk, rt, _ in rrows if rk == k and rt <= t]
         want = max(prior) if prior else None

@@ -8,12 +8,20 @@ partition (one input file) as soon as its rows are accounted for, so
 commits arrive in bursts. At 8 files a burst often committed every
 partition before the kill landed; at 24 files of 10 docs the kill after
 the third commit landed with 7-9 of 24 committed in trial runs on 4
-CPUs."""
+CPUs.
+
+Each runner starts its Ray session under its own short temp dir, and
+after every run the test stops exactly the processes of that session
+(the dashboard agent of a SIGKILLed driver outlives it otherwise); it
+never runs a global ``ray stop``, which would stop the test session's
+own Ray too."""
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -24,7 +32,8 @@ N_FILES = 24
 
 RUNNER = """
 import glob, os, sys, ray
-ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR", _temp_dir=sys.argv[3])
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from unravel_ray.checkpoint import run_with_checkpoint_files
@@ -59,26 +68,47 @@ def _n_committed(out_dir):
     return len([f for f in os.listdir(mdir) if f.startswith("part-")])
 
 
+def _stop_session(temp_dir):
+    """SIGKILL every process whose command line names ``temp_dir`` (the
+    runner, its GCS, raylet and agents) and their children (workers
+    rename themselves ``ray::...``), then remove the dir."""
+    ps = subprocess.run(["ps", "-eo", "pid=,ppid=,args="], capture_output=True,
+                        text=True, check=True).stdout
+    rows = [line.split(None, 2) + [""] for line in ps.splitlines()]
+    named = {int(r[0]) for r in rows if temp_dir in r[2]} - {os.getpid()}
+    for pid in named | {int(r[0]) for r in rows if int(r[1]) in named}:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    shutil.rmtree(temp_dir, ignore_errors=True)
+
+
 def _run(src_dir, out_dir, kill_after_parts=None, timeout=420):
+    # AF_UNIX socket paths stop at 107 bytes: keep the session dir short
+    ray_tmp = tempfile.mkdtemp(prefix="ray-", dir="/tmp")
     env = dict(os.environ, PYTHONPATH=REPO)
-    p = subprocess.Popen([sys.executable, "-c", RUNNER, src_dir, out_dir],
-                         env=env, cwd=REPO, stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True)
-    if kill_after_parts is None:
-        out, err = p.communicate(timeout=timeout)
-        assert p.returncode == 0, err[-2000:]
-        return out
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        if _n_committed(out_dir) >= kill_after_parts:
-            p.send_signal(signal.SIGKILL)
-            p.wait(timeout=30)
-            return None
-        if p.poll() is not None:
-            pytest.fail("runner finished before the kill threshold was reached")
-        time.sleep(0.05)
-    p.kill()
-    pytest.fail("runner never reached the kill threshold")
+    try:
+        p = subprocess.Popen([sys.executable, "-c", RUNNER, src_dir, out_dir, ray_tmp],
+                             env=env, cwd=REPO, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+        if kill_after_parts is None:
+            out, err = p.communicate(timeout=timeout)
+            assert p.returncode == 0, err[-2000:]
+            return out
+        deadline = time.time() + timeout
+        while time.time() < deadline:
+            if _n_committed(out_dir) >= kill_after_parts:
+                p.send_signal(signal.SIGKILL)
+                p.wait(timeout=30)
+                return None
+            if p.poll() is not None:
+                pytest.fail("runner finished before the kill threshold was reached")
+            time.sleep(0.05)
+        p.kill()
+        pytest.fail("runner never reached the kill threshold")
+    finally:
+        _stop_session(ray_tmp)
 
 
 @pytest.mark.slow

@@ -171,6 +171,41 @@ def _shingle_hashes(text: str, width: int = 3) -> np.ndarray:
     return acc
 
 
+def _shingle_hashes_batch(texts: pa.Array | pa.ChunkedArray,
+                          width: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Word-shingle hashes of a whole column — the batch twin of
+    `_shingle_hashes` (pinned equal per row by tests/test_dedup.py).
+
+    Returns ``(flat, counts)``: row i's hashes, in `_shingle_hashes`
+    order, are the ``counts[i]`` values of ``flat`` after the first
+    ``counts[:i].sum()``. One `_flat_word_codes` pass and one `_word_hash`
+    per DISTINCT word, then the same rolling mod-P31 fold over the flat
+    word array, one window per start position: a window that would cross
+    a row boundary is never formed, and a row of 1..width-1 words gets
+    one fold over all of its words. Rows with no words get no hashes."""
+    from .textstats import _flat_word_codes
+
+    counts = np.zeros(len(texts), dtype=np.int64)
+    enc = _flat_word_codes(texts)
+    if enc is None:
+        return np.empty(0, dtype=np.int64), counts
+    codes, uniq, seg_starts, seg_docs = enc
+    wh = np.fromiter((_word_hash(w) for w in uniq),
+                     dtype=np.int64, count=len(uniq))[codes]
+    seg_len = np.diff(np.append(seg_starts, wh.size))
+    n_win = np.maximum(seg_len - (width - 1), 1)  # windows per row
+    win_seg = np.repeat(np.arange(seg_starts.size), n_win)
+    first = np.cumsum(n_win) - n_win              # first window of each row
+    start = seg_starts[win_seg] + np.arange(win_seg.size) - first[win_seg]
+    wlen = np.minimum(seg_len, width)[win_seg]    # words per window
+    acc = np.zeros(win_seg.size, dtype=np.int64)
+    for j in range(width):
+        step = np.flatnonzero(wlen > j)
+        acc[step] = (acc[step] * _POLY31 + wh[start[step] + j]) % P31
+    counts[seg_docs] = n_win
+    return acc, counts
+
+
 def _perm_params(num_perm: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.RandomState(seed)
     a = rng.randint(1, P31, size=num_perm, dtype=np.int64)
@@ -222,28 +257,32 @@ class MinHashStage:
         buf %= P31
         return buf
 
-    def _signatures(self, texts: list) -> np.ndarray:
+    def _signatures(self, texts: pa.Array | pa.ChunkedArray) -> np.ndarray:
         """(n_docs, num_perm) uint64 signature matrix, vectorized ACROSS
-        docs: all shingle hashes of a doc slice concatenate into one flat
-        array, (a*h+b) % p runs as a single K x S kernel, and per-doc mins
-        fall out of one ``np.minimum.reduceat`` over the doc boundaries —
+        docs: the column's shingle hashes come flat from one
+        `_shingle_hashes_batch` call, (a*h+b) % p runs as a single K x S
+        kernel per doc slice, and per-doc mins fall out of one
+        ``np.minimum.reduceat`` over the doc boundaries —
         elementwise-identical to the per-doc form (same ops, same dtypes),
         pinned by tests/test_dedup.py's old-vs-new equality test."""
-        n = len(texts)
-        sigs = np.zeros((n, self.num_perm), dtype=np.int64)
-        shingles = [_shingle_hashes(t) for t in texts]
-        counts = np.array([s.size for s in shingles], dtype=np.int64)
+        sigs = np.zeros((len(texts), self.num_perm), dtype=np.int64)
+        flat, counts = _shingle_hashes_batch(texts)
+        offs = np.cumsum(counts) - counts
         cap_s = self._SLICE_ENTRIES // self.num_perm
         # whale doc whose shingles alone exceed the scratch: fold chunk
         # minima (min over a partition of the shingles == min over all)
-        for i in np.flatnonzero(counts > cap_s):
+        whales = np.flatnonzero(counts > cap_s)
+        for i in whales:
             acc = np.full(self.num_perm, np.iinfo(np.int64).max, np.int64)
-            h = shingles[i]
-            for lo in range(0, h.size, cap_s):
-                np.minimum(acc, self._kernel(h[lo:lo + cap_s]).min(axis=1),
+            for lo in range(offs[i], offs[i] + counts[i], cap_s):
+                hi = min(lo + cap_s, offs[i] + counts[i])
+                np.minimum(acc, self._kernel(flat[lo:hi]).min(axis=1),
                            out=acc)
             sigs[i] = acc
-            counts[i] = 0  # handled; exclude from the sliced pass
+        if whales.size:  # handled; drop them from the sliced pass
+            flat = flat[np.repeat(counts <= cap_s, counts)]
+            counts = np.where(counts > cap_s, 0, counts)
+            offs = np.cumsum(counts) - counts
         nonempty = np.flatnonzero(counts)
         lo = 0
         while lo < nonempty.size:
@@ -254,20 +293,17 @@ class MinHashStage:
                 total += counts[nonempty[hi]]
                 hi += 1
             idx = nonempty[lo:hi]
-            flat = np.concatenate([shingles[i] for i in idx])
-            vals = self._kernel(flat)
-            offs = np.zeros(idx.size, dtype=np.int64)
-            np.cumsum(counts[idx[:-1]], out=offs[1:])
-            mins = np.minimum.reduceat(vals, offs, axis=1)  # (K, docs)
+            base = offs[idx[0]]
+            vals = self._kernel(flat[base:base + total])
+            mins = np.minimum.reduceat(vals, offs[idx] - base, axis=1)  # (K, docs)
             sigs[idx] = mins.T
             lo = hi
         return sigs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Explode each doc to one row per LSH band: (band, band_hash, id, sig)."""
-        texts = batch[self.text_col].to_pylist()
-        n = len(texts)
-        sigs = self._signatures(texts)
+        n = batch.num_rows
+        sigs = self._signatures(batch[self.text_col])
         bh = _band_hashes(sigs, self.bands)
         # one buffer for ALL signatures (n x num_perm int64 rows), wrapped
         # as fixed-size binary and replicated per band by Arrow take — the
@@ -715,12 +751,13 @@ def jaccard_verified_pairs(ds: Dataset, pairs: Dataset,
     Scale shape: the candidate-id set (LSH candidates << corpus) is
     collected once and broadcast; per-doc shingle sets are computed
     DISTRIBUTED over the corpus (non-candidates filtered out before
-    anything shuffles), gathered as one small int64 dict, and pairs
-    verify inside map_batches over the pairs dataset — corpus text never
-    reaches the driver.
+    anything shuffles) and gathered as one small int64 dict, and the
+    pairs verify on the driver, where the candidate pairs and that dict
+    already are — corpus text never reaches the driver.
     """
-    pairs = pairs.materialize()  # small candidate set; read twice below
-    # the materialized blocks themselves — no second execution over them
+    # materialize first: to_arrow_refs on a lazy plan re-runs it for the
+    # schema; on the materialized blocks it runs nothing more
+    pairs = pairs.materialize()
     blocks = [b.select(["a", "b"]) for b in ray.get(pairs.to_arrow_refs())]
     pair_tbl = pa.concat_tables(
         blocks or [pa.table({"a": pa.array([], pa.int64()),
@@ -731,38 +768,33 @@ def jaccard_verified_pairs(ds: Dataset, pairs: Dataset,
     def shingle_sets(batch: pa.Table) -> pa.Table:
         cands = ray.get(cand_ref)
         kept = batch.filter(pc.is_in(batch[id_col], value_set=cands))
-        sets = [np.unique(_shingle_hashes(t, width)).tobytes()
-                for t in kept[text_col].to_pylist()]
+        flat, counts = _shingle_hashes_batch(kept[text_col], width)
+        ends = np.cumsum(counts)
+        sets = [np.unique(flat[e - c:e]).tobytes() for c, e in zip(counts, ends)]
         return pa.table({id_col: kept[id_col],
                          "sset": pa.array(sets, pa.binary())})
 
-    sets_ref = ray.put({
+    sets = {
         r[id_col]: np.frombuffer(r["sset"], dtype=np.int64)
         for r in ds.map_batches(shingle_sets, batch_format="pyarrow").take_all()
-    })
-
-    def verify(batch: pa.Table) -> pa.Table:
-        sets = ray.get(sets_ref)
-        a_ids = batch["a"].to_pylist()
-        b_ids = batch["b"].to_pylist()
-        a_o, b_o, m_o = [], [], []
-        for ida, idb in zip(a_ids, b_ids):
-            sa = sets.get(ida)
-            sb = sets.get(idb)
-            if sa is None or sb is None:
-                continue
-            inter = int(np.intersect1d(sa, sb, assume_unique=True).size)
-            uni = int(sa.size) + int(sb.size) - inter
-            micros = 1_000_000 if uni == 0 else inter * 1_000_000 // uni
-            if micros >= threshold_micros:
-                a_o.append(ida)
-                b_o.append(idb)
-                m_o.append(micros)
-        return pa.table({"a": pa.array(a_o, pa.int64()),
-                         "b": pa.array(b_o, pa.int64()),
-                         "jaccard_micros": pa.array(m_o, pa.int64())})
-
-    return pairs.map_batches(verify, batch_format="pyarrow")
+    }
+    a_o, b_o, m_o = [], [], []
+    for ida, idb in zip(pair_tbl["a"].to_pylist(), pair_tbl["b"].to_pylist()):
+        sa = sets.get(ida)
+        sb = sets.get(idb)
+        if sa is None or sb is None:
+            continue
+        inter = int(np.intersect1d(sa, sb, assume_unique=True).size)
+        uni = int(sa.size) + int(sb.size) - inter
+        micros = 1_000_000 if uni == 0 else inter * 1_000_000 // uni
+        if micros >= threshold_micros:
+            a_o.append(ida)
+            b_o.append(idb)
+            m_o.append(micros)
+    return ray.data.from_arrow(pa.table({
+        "a": pa.array(a_o, pa.int64()),
+        "b": pa.array(b_o, pa.int64()),
+        "jaccard_micros": pa.array(m_o, pa.int64())}))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    return read_parquet_sized(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _fold_tokens(query: str) -> list[str]:
@@ -142,15 +142,45 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
 # the fixed-block exchange shared by every block-id keyed operator
 # ---------------------------------------------------------------------------
 
+def _session_cpus() -> int:
+    """CPUs of the Ray session (``ray.cluster_resources`` reads, it never
+    starts Ray); the host's CPU count when no session is up."""
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    return os.cpu_count() or 1
+
+
 def exchange_partitions(n_blocks: int) -> int:
     """Reduce partitions for an exchange over ``n_blocks`` block ids: one
-    per CPU of the session (``ray.cluster_resources`` reads, it never
-    starts Ray), never more than there are block ids."""
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 1))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(n_blocks, cpus))
+    per CPU of the session, never more than there are block ids."""
+    return max(1, min(n_blocks, _session_cpus()))
+
+
+def read_parquet_sized(path: str, columns: list[str] | None = None) -> Dataset:
+    """Read one parquet file as ``max(session CPUs, ceil(bytes / target))``
+    blocks, where bytes is the footer's uncompressed size of the selected
+    columns and target is ``DataContext.target_max_block_size``.
+
+    Ray's default split depends on neither the CPU count nor the bytes
+    read; on a small host its extra read blocks each become one more task
+    of every fused map and exchange after the read. One block per CPU
+    keeps every CPU busy with one task, and the byte bound keeps blocks
+    at the target size as the table grows."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    md = pq.read_metadata(path)
+    keep = None if columns is None else set(columns)
+    nbytes = sum(
+        rg.column(j).total_uncompressed_size
+        for rg in map(md.row_group, range(md.num_row_groups))
+        for j in range(rg.num_columns)
+        if keep is None or rg.column(j).path_in_schema.split(".")[0] in keep)
+    target = DataContext.get_current().target_max_block_size
+    n = _session_cpus()
+    if target:
+        n = max(n, -(-nbytes // target))
+    return ray.data.read_parquet(path, columns=columns, override_num_blocks=n)
 
 
 def block_exchange(ds: Dataset, key: str, n_blocks: int, fn,
@@ -1735,7 +1765,8 @@ def sample_documents(sf_dir: str, pct: int = 10) -> Dataset:
 
 def asof_join(left: Dataset, right: Dataset, by: str, on: str,
               right_keep: list[str], right_suffix: str = "_r",
-              n_blocks: int = 64) -> Dataset:
+              n_blocks: int = 64,
+              schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
     """Backward as-of join: for each left row, the LAST right row of the
     same ``by`` key with right.on <= left.on (nulls when none precedes).
 
@@ -1750,9 +1781,11 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
     block holds ~|left + right| / n_blocks rows — size n_blocks so that
     fits a worker; a single hot key cannot straddle blocks (the scan is
     order-exact within its run regardless of run length).
+    ``schemas=(left, right)`` passes the sides' Arrow schemas when the
+    caller knows them, as in ``hash_join``; otherwise each side's
+    ``Dataset.schema()`` runs a ``limit=1`` execution of its plan.
     """
-    lschema = left.schema()
-    rschema = right.schema()
+    lschema, rschema = schemas or (left.schema(), right.schema())
     lcols = list(lschema.names)
     rtypes = dict(zip(rschema.names, rschema.types))
     ltypes = dict(zip(lschema.names, lschema.types))
@@ -1834,32 +1867,51 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
     return block_exchange(unioned, "__blk", n_blocks, block_asof)
 
 
-def purchases_with_last_click(sf_dir: str) -> Dataset:
-    """For every purchase event, the user's most recent click at-or-before
-    it (backward as-of). Right side deduped to one click per (user, ts)
-    by max event_id so the match is total-order deterministic; nulls
-    encoded as -1 for engine-stable hashing."""
-    ev = _pq(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    purchases = ev.map_batches(
-        lambda t: t.filter(pc.equal(t["event_type"], "purchase"))
-        .select(["event_id", "user_id", "ts"]), batch_format="pyarrow")
-    clicks = ev.map_batches(
-        lambda t: t.filter(pc.equal(t["event_type"], "click"))
-        .select(["event_id", "user_id", "ts"]), batch_format="pyarrow")
+def _purchase_click_sides(sf_dir: str):
+    """Both sides of ``purchases_with_last_click`` and their Arrow
+    schemas for ``asof_join(schemas=)``: purchases, and clicks deduped to
+    one row per (user, ts) by max event_id so the match is total-order
+    deterministic. The schemas come from running the same per-batch
+    kernels over the events file's empty table (footer only, no Ray
+    execution), so the right side's all-to-all dedup never runs as a
+    ``limit=1`` probe."""
+    import pyarrow.parquet as pq
+
+    cols = ["event_id", "ts", "user_id", "event_type"]
+
+    def pick(event_type: str):
+        def fn(t: pa.Table) -> pa.Table:
+            return t.filter(pc.equal(t["event_type"], event_type)) \
+                .select(["event_id", "user_id", "ts"])
+        return fn
 
     def dedupe_clicks(batch: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(batch, ["user_id", "ts"]).aggregate([("event_id", "max")])
         return g.rename_columns(["user_id", "ts", "event_id"])
 
+    ev = _pq(sf_dir, "events", cols)
+    purchases = ev.map_batches(pick("purchase"), batch_format="pyarrow")
     # partial per-batch dedupe, exact dedupe inside the co-group via the
     # same max rule applied by asof (identical (user, ts) rows collapse)
     clicks_u = (
-        clicks.map_batches(dedupe_clicks, batch_format="pyarrow")
+        ev.map_batches(pick("click"), batch_format="pyarrow")
+        .map_batches(dedupe_clicks, batch_format="pyarrow")
         .groupby(["user_id", "ts"])
         .aggregate(Max("event_id", alias_name="event_id"))
     )
+    empty = pq.read_schema(f"{sf_dir}/events.parquet").empty_table().select(cols)
+    schemas = (pick("purchase")(empty).schema,
+               dedupe_clicks(pick("click")(empty)).schema)
+    return purchases, clicks_u, schemas
+
+
+def purchases_with_last_click(sf_dir: str) -> Dataset:
+    """For every purchase event, the user's most recent click at-or-before
+    it (backward as-of; clicks deduped as in `_purchase_click_sides`);
+    nulls encoded as -1 for engine-stable hashing."""
+    purchases, clicks_u, schemas = _purchase_click_sides(sf_dir)
     joined = asof_join(purchases, clicks_u, by="user_id", on="ts",
-                       right_keep=["event_id", "ts"])
+                       right_keep=["event_id", "ts"], schemas=schemas)
 
     def finish(t: pa.Table) -> pa.Table:
         ts_us = pc.cast(t["ts"], pa.int64())

@@ -147,19 +147,3 @@ ROLLUP_SCHEMA = pa.schema(
         pa.field("collection_status", pa.string()),
     ]
 )
-
-# Per-partition lineage manifest row (checkpoint/resume, SURVEY.md §4).
-MANIFEST_SCHEMA = pa.schema(
-    [
-        pa.field("partition_id", pa.string()),
-        pa.field("input_fingerprint", pa.string()),
-        pa.field("n_rows", pa.int64()),
-        pa.field("n_completed", pa.int64()),
-        pa.field("n_failed", pa.int64()),
-        pa.field("wall_time_s", pa.float64()),
-    ]
-)
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
