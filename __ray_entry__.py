@@ -617,7 +617,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     The block_exchange rewrite rotated word_counts_by_lang,
     customers_without_orders and orders_customer_full_join in, in place
     of collection_rollup, docs_with_ocr_status and pii_scrub_stats
-    (green in CORRECTNESS_r05, code unchanged since)."""
+    (green in CORRECTNESS_r05, code unchanged since). Moving
+    extract_publish onto the checkpoint commit protocol rewrote
+    run_flagship's committed layout, so export_docx (built on it) rotated
+    in, in place of validation_accounting (green in CORRECTNESS_r05, code
+    unchanged since)."""
     from unravel_ray import relational as R
 
     return {
@@ -630,8 +634,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ai_enrich": _ai_enrich,
         "search_projection": _search_projection,
         "export_markdown": _export_markdown,
+        # rotated IN when extract_publish moved onto the checkpoint commit
+        # protocol (export_docx reads run_flagship's committed layout);
+        # swapped with validation_accounting, r5-certified, code unchanged
+        "export_docx": _export_docx,
         # ---- core reference-parity operators (M7/G2/J1/G6/O4/D1...) ----
-        "validation_accounting": R.validation_accounting,
         # rotated IN with the block_exchange rewrite (combiner-first
         # word_counts_by_lang; hash_join's exchange and footer-derived
         # side schemas) — swapped with collection_rollup,
@@ -698,17 +705,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "orders_customer_join": R.orders_customer_join,
         # ---- past the window: every entry below is driver-green in a
         # prior round with code unchanged since its certification
-        # (audio_features / frame_sample / export_docx / table_stats /
+        # (audio_features / frame_sample / table_stats /
         # lsh_topk / ivf_topk / ivf_index_topk / search_content /
         # dataset_splits / search_fuzzy / lang_distribution are this
         # round's sacrifices, all certified green in CORRECTNESS_r04;
-        # collection_rollup / docs_with_ocr_status / pii_scrub_stats in
-        # CORRECTNESS_r05; vocab_top_words / image_resize / image_decode
+        # collection_rollup / docs_with_ocr_status / pii_scrub_stats /
+        # validation_accounting in CORRECTNESS_r05; vocab_top_words / image_resize / image_decode
         # in CORRECTNESS_r03) — and the full 81-entry sweep
         # still re-verifies values at sf0.001 on every pytest run ----
         "lsh_topk": _lsh_topk,
         "audio_features": _audio_features,
-        "export_docx": _export_docx,
+        "validation_accounting": R.validation_accounting,
         "collection_rollup": R.collection_rollup,
         "docs_with_ocr_status": R.docs_with_ocr_status,
         "pii_scrub_stats": R.pii_scrub_stats,

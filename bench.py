@@ -158,7 +158,7 @@ def run_bench() -> dict:
         timings[name] = round(time.perf_counter() - t0, 3)
         if name == "flagship_extract":
             # COLD publish by design: the timed call IS the durable
-            # write-audit-publish. min-of-2 like every other query, but
+            # commit. min-of-2 like every other query, but
             # clearing the keyed cache between runs so BOTH are true cold
             # publishes; the second run leaves the committed extraction
             # in place for the downstream flagship-derived queries.
@@ -182,10 +182,10 @@ def run_bench() -> dict:
     # hash(seed, doc_id)).
     synth_docs = int(os.environ.get("GRAFT_SYNTH_DOCS", "120000"))
     cfg = PipelineConfig(ocr_concurrency=(max(1, num_cpus // 4), num_cpus))
-    # the shipped path: write-audit-publish. The job boundary is the
-    # DURABLE COMMIT (streaming write to partitioned parquet + footer
-    # audit + manifest) — the same boundary as a production batch run; row
-    # count comes footer-exact from the committed manifest. The lazy
+    # the shipped path: extract_publish. The job boundary is the
+    # DURABLE COMMIT (workers' streaming write to parquet + split-doc
+    # recompute + rename + manifest) — the same boundary as a production
+    # batch run; the row count comes from the committed manifest. The lazy
     # read-back is the consumer's (already persisted) side and is timed
     # separately below as publish_readback.
     t_synth = float("inf")

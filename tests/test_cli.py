@@ -28,35 +28,59 @@ def _corpus(tmp_path):
     return docs, env
 
 
+def _stats(out, env):
+    s = subprocess.run(
+        [sys.executable, "-m", "unravel_ray", "stats",
+         "--input", str(out), "--num-cpus", "2"],
+        check=True, env=env, cwd=REPO, capture_output=True,
+        text=True)
+    return [json.loads(ln) for ln in s.stdout.strip().splitlines()
+            if ln.startswith("{")]
+
+
 def test_cli_extract_and_stats(tmp_path):
+    from unravel_ray.checkpoint import read_manifest
+
     docs, env = _corpus(tmp_path)
     out = tmp_path / "out"
-    r = subprocess.run(
+    subprocess.run(
         [sys.executable, "-m", "unravel_ray", "extract",
          "--input", str(docs), "--output", str(out), "--num-cpus", "2"],
         check=True, env=env, cwd=REPO, capture_output=True,
         text=True)
-    manifest = json.loads(r.stdout.strip().splitlines()[-1])
-    assert manifest["n_rows"] == 120
-    s = subprocess.run(
-        [sys.executable, "-m", "unravel_ray", "stats",
-         "--input", str(out / "raw"), "--num-cpus", "2"],
-        check=True, env=env, cwd=REPO, capture_output=True,
-        text=True)
-    rows = [json.loads(ln) for ln in s.stdout.strip().splitlines()
-            if ln.startswith("{")]
-    assert sum(r["n_docs"] for r in rows) == 120
+    assert sum(r["n_rows"] for r in read_manifest(str(out)).values()) == 120
+    assert sum(r["n_docs"] for r in _stats(out, env)) == 120
+
+
+def test_cli_stats_reads_committed_output(ray_session, tmp_path, split_victims):
+    """stats over a publish dir whose extraction split one doc: the tallies
+    count each doc once, the repaired one included, and no marker row."""
+    import ray.data
+
+    from unravel_ray.config import PipelineConfig
+    from unravel_ray.pipeline import extract_publish
+    from unravel_ray.synth import make_corpus
+
+    split_victims({"doc-00000006"})
+    out = tmp_path / "pub"
+    extract_publish(ray.data.from_arrow(make_corpus(40)),
+                    PipelineConfig(ocr_concurrency=1), str(out))
+    env = dict(os.environ, PYTHONPATH=REPO)
+    env.pop("RAY_ADDRESS", None)
+    rows = _stats(out, env)
+    assert sum(r["n_docs"] for r in rows) == 40
+    assert "__split__" not in {r["status"] for r in rows}
 
 
 def test_cli_extract_checkpoint_resumes(tmp_path):
-    """extract --checkpoint: one partition per input parquet file; a
-    second run over the same input commits nothing new."""
+    """extract: one partition per input parquet file; a second run over
+    the same input commits nothing new."""
     from unravel_ray.checkpoint import read_manifest
 
     docs, env = _corpus(tmp_path)
     out = tmp_path / "ckpt"
     n_files = len(list(docs.glob("*.parquet")))
-    cmd = [sys.executable, "-m", "unravel_ray", "extract", "--checkpoint",
+    cmd = [sys.executable, "-m", "unravel_ray", "extract",
            "--input", str(docs), "--output", str(out), "--num-cpus", "2"]
 
     def run():

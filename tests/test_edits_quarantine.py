@@ -17,7 +17,7 @@ from unravel_ray.edits import (
     sanitize_content,
     sanitize_html,
 )
-from unravel_ray.pipeline import build_extraction
+from unravel_ray.pipeline import extract_publish
 from unravel_ray.schema import EXTRACTED_SCHEMA
 from unravel_ray.synth import make_corpus
 
@@ -77,7 +77,7 @@ def test_quarantine_projection(ray_session):
     assert "cannot read media" in q["error_message"]
 
 
-def test_total_size_cap_marks_whole_collection(ray_session):
+def test_total_size_cap_marks_whole_collection(ray_session, tmp_path):
     corpus = make_corpus(32).to_pylist()
     # inflate every file in collection col-000001 so its total exceeds 50 MB
     for r in corpus:
@@ -87,7 +87,8 @@ def test_total_size_cap_marks_whole_collection(ray_session):
 
     docs = ray.data.from_arrow(pa.Table.from_pylist(corpus, schema=DOCS_SCHEMA))
     gated = enforce_total_size_cap(docs)
-    out = build_extraction(gated, PipelineConfig(ocr_concurrency=1)).take_all()
+    out = extract_publish(gated, PipelineConfig(ocr_concurrency=1),
+                          str(tmp_path / "pub")).take_all()
     by_col: dict = {}
     for r in out:
         by_col.setdefault(r["collection_id"], []).append(r)

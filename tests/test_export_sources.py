@@ -456,7 +456,7 @@ def test_hash_join_semi_anti(ray_session):
     assert cols == {"k", "v"}
 
 
-def test_docx_export_is_valid_ooxml(ray_session):
+def test_docx_export_is_valid_ooxml(ray_session, tmp_path):
     """S9 completed: real .docx bytes — a well-formed OOXML zip whose
     document.xml carries the spans as styled paragraphs in span order."""
     import io
@@ -465,7 +465,7 @@ def test_docx_export_is_valid_ooxml(ray_session):
 
     import ray.data
     from unravel_ray.export import docx_bytes, export_docx
-    from unravel_ray.pipeline import build_extraction
+    from unravel_ray.pipeline import extract_publish
     from unravel_ray.config import PipelineConfig
     from unravel_ray.synth import make_corpus
 
@@ -485,9 +485,9 @@ def test_docx_export_is_valid_ooxml(ray_session):
     styles = [s.get(f"{W}val") for s in root.iter(f"{W}pStyle")]
     assert styles == ["Heading1", "ListParagraph"]
 
-    out = export_docx(build_extraction(
+    out = export_docx(extract_publish(
         ray.data.from_arrow(make_corpus(12)),
-        PipelineConfig(ocr_concurrency=1))).take_all()
+        PipelineConfig(ocr_concurrency=1), str(tmp_path / "pub"))).take_all()
     assert len(out) == 12
     for r in out:
         if r["status"] == "completed":

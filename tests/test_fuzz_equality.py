@@ -2,6 +2,8 @@
 the synth corpus never produces — duplicate offsets, nulls, unknown kinds,
 adversarial selections) must still match the sequential oracle exactly."""
 
+import tempfile
+
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ import ray.data
 
 from oracle.pyref import extract_doc
 from unravel_ray.config import PipelineConfig
-from unravel_ray.pipeline import build_extraction
+from unravel_ray.pipeline import extract_publish
 from unravel_ray.schema import DOCS_SCHEMA
 
 KINDS = st.sampled_from(["html", "text", "pdf_page", "image", "heading",
@@ -74,7 +76,9 @@ def corpus(draw):
 def test_fuzzed_docs_match_oracle(ray_session, docs):
     t = pa.Table.from_pylist(docs, schema=DOCS_SCHEMA)
     cfg = PipelineConfig(ocr_concurrency=1, explode_batch_size=7)
-    rows = build_extraction(ray.data.from_arrow(t).repartition(3), cfg).take_all()
+    with tempfile.TemporaryDirectory() as out_dir:
+        rows = extract_publish(ray.data.from_arrow(t).repartition(3), cfg,
+                               out_dir).take_all()
     got = {r["doc_id"]: r for r in rows}
     assert len(got) == len(docs)
     for d in docs:

@@ -123,6 +123,9 @@ def test_priority_window_contains_new_and_core_queries():
         # flagship family (explode/finalize changed in r5)
         "flagship_extract", "flagship_rollup", "flagship_statuses",
         "extraction_confidence", "quarantine",
+        # built on run_flagship's committed layout, which moved onto the
+        # checkpoint commit protocol after its last driver row
+        "export_docx",
         # round-5 code changes: label-prop convergence, simhash_batch,
         # fingerprint_batch, MG marker column, _user_block_runs guard,
         # storage_reconcile null assert, event_props_stats regex,

@@ -1,13 +1,16 @@
 """The split-doc repair net.
 
-Round-2 design: split detection is BLOCK-LOCAL — every work unit carries
-its doc's total unit count (n_units), so finalize_block emits a slim
-SPLIT_MARKER_STATUS row for any incomplete fragment instead of a wrong
-partial doc. Repair (_repair_split_docs in-memory, extract_publish on the
-write-audit-publish path) recomputes exactly the marked docs from source
-and splices them in. No groupby verification pass, no full-output pin on
-the default flagship path.
+Split detection is BLOCK-LOCAL — every work unit carries its doc's total
+unit count (n_units), so finalize_block emits a slim SPLIT_MARKER_STATUS
+row for any incomplete fragment instead of a wrong partial doc. The one
+commit protocol (checkpoint._extract_commit, behind extract_publish and
+run_with_checkpoint_files) never writes marker rows: it recomputes
+exactly the marked docs from source into the partition's attempt dir
+before the commit. No groupby verification pass, no full-output pin.
 """
+
+import json
+import os
 
 import pyarrow as pa
 
@@ -15,19 +18,10 @@ import ray.data
 
 from oracle.pyref import extract_doc
 from unravel_ray.config import PipelineConfig
-from unravel_ray.pipeline import (
-    _repair_split_docs,
-    build_extraction,
-    extract_publish,
-)
+from unravel_ray.pipeline import extract_publish
 from unravel_ray.schema import EXTRACTED_SCHEMA, SPLIT_MARKER_STATUS
 from unravel_ray.stages import explode_extract, finalize_block, ocr_task
 from unravel_ray.synth import make_corpus
-
-
-def _marker_row(r):
-    return dict(r, spans=[], status=SPLIT_MARKER_STATUS, error_message=None,
-                provider=None, n_spans=0, n_chars=0)
 
 
 def test_finalize_block_emits_marker_for_incomplete_fragment(ray_session):
@@ -93,140 +87,133 @@ def test_partition_tag_passthrough_is_invisible_to_other_callers():
     assert empty.num_rows == 0 and PARTITION_TAG in empty.column_names
 
 
-def test_repair_merges_split_doc(ray_session):
-    corpus = make_corpus(40)
-    docs = ray.data.from_arrow(corpus)
-    cfg = PipelineConfig(ocr_concurrency=1)
-
-    good = build_extraction(docs, cfg).take_all()
-    victim = next(r for r in good if r["status"] == "completed" and r["n_spans"] >= 2)
-
-    # fabricate a split: the victim appears only as two fragment markers
-    # (the shape finalize_block now emits for an incomplete doc)
-    doctored = []
-    for r in good:
-        if r["doc_id"] == victim["doc_id"]:
-            doctored.extend([_marker_row(r), _marker_row(r)])
-        else:
-            doctored.append(r)
-    broken = ray.data.from_arrow(pa.Table.from_pylist(doctored, schema=EXTRACTED_SCHEMA))
-
-    repaired = _repair_split_docs(docs, broken, cfg).take_all()
-    assert len(repaired) == 40
-    by_id = {r["doc_id"]: r for r in repaired}
-    fixed = by_id[victim["doc_id"]]
-    want = extract_doc(next(d for d in corpus.to_pylist() if d["doc_id"] == victim["doc_id"]))
-    assert [(s["kind"], s["text"], s["media_ref"]) for s in fixed["spans"]] == [
-        (s["kind"], s["text"], s["media_ref"]) for s in want["spans"]
-    ]
-    assert fixed["status"] == want["status"]
+def _spans(r):
+    return [(s["kind"], s["text"], s["media_ref"]) for s in r["spans"]]
 
 
-def test_no_dup_passthrough(ray_session):
+def test_no_dup_passthrough(ray_session, tmp_path):
     docs = ray.data.from_arrow(make_corpus(30))
     cfg = PipelineConfig(ocr_concurrency=1)
-    out = build_extraction(docs, cfg).take_all()
+    out = extract_publish(docs, cfg, str(tmp_path / "pub")).take_all()
     ids = [r["doc_id"] for r in out]
     assert len(ids) == len(set(ids)) == 30
     assert all(r["status"] != SPLIT_MARKER_STATUS for r in out)
 
 
 def test_extract_publish_roundtrip_and_cache(ray_session, tmp_path):
-    """Write-audit-publish: committed parquet output matches the in-memory
-    path exactly; a second call with the same out_dir reuses the committed
-    result (PUBLISHED.json) without re-running extraction."""
+    """The committed parquet output matches the sequential oracle doc for
+    doc; a second call with the same out_dir reuses the committed result
+    (PUBLISHED.json) without re-running extraction."""
     corpus = make_corpus(50)
     cfg = PipelineConfig(ocr_concurrency=1)
     out_dir = str(tmp_path / "pub")
 
-    pub = extract_publish(ray.data.from_arrow(corpus), cfg, out_dir).take_all()
-    mem = build_extraction(ray.data.from_arrow(corpus), cfg).take_all()
-    key = lambda r: r["doc_id"]  # noqa: E731
-    s_pub = sorted(pub, key=key)
-    s_mem = sorted(mem, key=key)
-    assert [r["doc_id"] for r in s_pub] == [r["doc_id"] for r in s_mem]
-    for a, b in zip(s_pub, s_mem):
-        assert a["status"] == b["status"]
-        assert [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in a["spans"]] \
-            == [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in b["spans"]]
+    pub = {r["doc_id"]: r for r in
+           extract_publish(ray.data.from_arrow(corpus), cfg, out_dir).take_all()}
+    want = {d["doc_id"]: extract_doc(d) for d in corpus.to_pylist()}
+    assert set(pub) == set(want)
+    for doc_id, w in want.items():
+        assert pub[doc_id]["status"] == w["status"], doc_id
+        assert _spans(pub[doc_id]) == _spans(w), doc_id
+    assert sorted(os.listdir(out_dir)) == ["PUBLISHED.json", "part-0"]
 
     # cache hit: poison the source — committed output must be served as-is
-    import os
-
-    assert os.path.exists(os.path.join(out_dir, "PUBLISHED.json"))
     empty = ray.data.from_arrow(make_corpus(0))
     again = extract_publish(empty, cfg, out_dir).take_all()
     assert len(again) == 50
 
 
-def test_extract_publish_repairs_marked_docs(ray_session, tmp_path, monkeypatch):
-    """Force the audit's repair branch: make the core emit fragment markers
-    for one doc and verify publish replaces it with an exact recompute."""
+def test_extract_publish_repairs_marked_docs(ray_session, tmp_path, split_victims):
+    """Make the extraction emit fragment markers for one doc and verify
+    publish replaces it with an exact recompute."""
     corpus = make_corpus(25)
     cfg = PipelineConfig(ocr_concurrency=1)
-    want = build_extraction(ray.data.from_arrow(corpus), cfg).take_all()
+    want = extract_publish(ray.data.from_arrow(corpus), cfg,
+                           str(tmp_path / "clean")).take_all()
     victim = next(r for r in want if r["status"] == "completed" and r["n_spans"] >= 2)
 
-    import unravel_ray.pipeline as P
-
-    real_core = P._build_extraction_core
-
-    def broken_core(docs, cfg):
-        ds = real_core(docs, cfg)
-
-        victim_id = victim["doc_id"]
-
-        def sabotage(t: pa.Table) -> pa.Table:
-            # self-contained closure (no test-module references — Ray
-            # workers can't import the test module)
-            from unravel_ray.schema import EXTRACTED_SCHEMA as ES
-            from unravel_ray.schema import SPLIT_MARKER_STATUS as SMS
-
-            rows = []
-            for r in t.to_pylist():
-                if r["doc_id"] == victim_id:
-                    m = dict(r, spans=[], status=SMS, error_message=None,
-                             provider=None, n_spans=0, n_chars=0)
-                    rows.extend([m, dict(m)])
-                else:
-                    rows.append(r)
-            return pa.Table.from_pylist(rows, schema=ES)
-
-        return ds.map_batches(sabotage, batch_format="pyarrow")
-
-    monkeypatch.setattr(P, "_build_extraction_core", broken_core)
+    split_victims({victim["doc_id"]})
     pub = extract_publish(ray.data.from_arrow(corpus), cfg, str(tmp_path / "p2")).take_all()
     assert len(pub) == 25
     fixed = next(r for r in pub if r["doc_id"] == victim["doc_id"])
     assert fixed["status"] == "completed"
-    assert [(s["kind"], s["text"]) for s in fixed["spans"]] == [
-        (s["kind"], s["text"]) for s in victim["spans"]
-    ]
+    assert _spans(fixed) == _spans(victim)
+
+
+def test_split_docs_repaired_counts_in_both_manifests(ray_session, tmp_path,
+                                                      split_victims):
+    """A publish and a checkpoint run over the same victims: each
+    manifest's n_split_repaired is the victim count and its n_rows the
+    number of rows load_extracted returns."""
+    import pyarrow.parquet as pq
+
+    from unravel_ray.checkpoint import load_extracted, read_manifest, \
+        run_with_checkpoint_files
+
+    corpus = make_corpus(24)
+    cfg = PipelineConfig(ocr_concurrency=1)
+    victims = {"doc-00000003", "doc-00000007", "doc-00000016"}
+    split_victims(victims)
+
+    pub_dir = str(tmp_path / "pub")
+    n_pub = extract_publish(ray.data.from_arrow(corpus), cfg, pub_dir).count()
+    with open(os.path.join(pub_dir, "PUBLISHED.json")) as f:
+        pub = json.load(f)
+    assert pub["n_split_repaired"] == len(victims)
+    assert pub["n_rows"] == n_pub == load_extracted(pub_dir).count() == 24
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(corpus, str(src / "all.parquet"))
+    ckpt = str(tmp_path / "ckpt")
+    run_with_checkpoint_files([str(src / "all.parquet")], ckpt, cfg=cfg)
+    (row,) = read_manifest(ckpt).values()
+    assert row["n_split_repaired"] == len(victims)
+    assert row["n_rows"] == load_extracted(ckpt).count() == 24
+
+
+def test_recompute_that_still_splits_raises(ray_session, tmp_path, split_victims):
+    """A recompute that emits a marker again raises before anything is
+    committed: no part-* dir, no manifest, no attempt dir is left."""
+    import pyarrow.parquet as pq
+    import pytest
+
+    from unravel_ray.checkpoint import run_with_checkpoint_files
+
+    corpus = make_corpus(12)
+    cfg = PipelineConfig(ocr_concurrency=1)
+    split_victims({"doc-00000004"}, break_recompute=True)
+
+    pub_dir = str(tmp_path / "pub")
+    with pytest.raises(RuntimeError, match="recompute still split"):
+        extract_publish(ray.data.from_arrow(corpus), cfg, pub_dir)
+    assert os.listdir(pub_dir) == []
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(corpus, str(src / "all.parquet"))
+    ckpt = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="recompute still split"):
+        run_with_checkpoint_files([str(src / "all.parquet")], ckpt, cfg=cfg)
+    assert os.listdir(ckpt) == []
 
 
 def test_extract_publish_recovers_from_interrupted_write(ray_session, tmp_path):
-    """A crash mid-write leaves a raw dir WITHOUT PUBLISHED.json; the rerun
-    must discard the partial output and produce a complete committed
-    result (write-audit-publish is all-or-nothing on the manifest)."""
-    import json
-    import os
-
+    """A crash mid-write leaves an attempt dir WITHOUT PUBLISHED.json; the
+    rerun never reads it, commits a complete result and removes it."""
     corpus = make_corpus(30)
     cfg = PipelineConfig(ocr_concurrency=1)
     out_dir = str(tmp_path / "crashpub")
-    raw = os.path.join(out_dir, "raw")
-    os.makedirs(raw)
-    # simulate torn state: a bogus partial file, no manifest
-    with open(os.path.join(raw, "part-garbage.parquet"), "wb") as f:
+    torn = os.path.join(out_dir, ".tmp-part-0.deadbeef0000")
+    os.makedirs(torn)
+    with open(os.path.join(torn, "garbage.parquet"), "wb") as f:
         f.write(b"not parquet")
 
     pub = extract_publish(ray.data.from_arrow(corpus), cfg, out_dir).take_all()
-    assert len(pub) == 30
-    assert os.path.exists(os.path.join(out_dir, "PUBLISHED.json"))
+    assert sorted(r["doc_id"] for r in pub) == sorted(corpus["doc_id"].to_pylist())
     with open(os.path.join(out_dir, "PUBLISHED.json")) as f:
         assert json.load(f)["n_rows"] == 30
-    want = build_extraction(ray.data.from_arrow(corpus), cfg).take_all()
-    assert {r["doc_id"] for r in pub} == {r["doc_id"] for r in want}
+    assert not os.path.exists(torn)
 
 
 def test_flagship_core_plan_has_no_shuffle(ray_session):

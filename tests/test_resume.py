@@ -176,52 +176,25 @@ def test_files_checkpoint_kill_and_resume(ray_session, tmp_path):
     assert not [d for d in os.listdir(resumed) if d.startswith(".tmp-part-")]
 
 
-def _split_victims(monkeypatch, victims):
-    """Make every extraction emit two split-marker rows for each victim
-    doc instead of its extracted row, as a block-boundary split would."""
-    import pyarrow as pa
-
-    import unravel_ray.pipeline as P
-    from unravel_ray.schema import SPLIT_MARKER_STATUS
-
-    real_core = P._build_extraction_core
-
-    def sabotage(t: pa.Table) -> pa.Table:
-        rows = []
-        for r in t.to_pylist():
-            if r["doc_id"] in victims:
-                m = dict(r, spans=[], status=SPLIT_MARKER_STATUS,
-                         error_message=None, provider=None, n_spans=0,
-                         n_chars=0, confidence_micros=None,
-                         language_detected=None)
-                rows.extend([m, dict(m)])
-            else:
-                rows.append(r)
-        return pa.Table.from_pylist(rows, schema=t.schema)  # keeps the tag
-
-    monkeypatch.setattr(P, "_build_extraction_core", lambda docs, cfg: real_core(
-        docs, cfg).map_batches(sabotage, batch_format="pyarrow"))
-
-
 def _repaired_parts(out):
-    return sorted(d for d in os.listdir(out) if d.startswith("part-")
-                  and os.path.exists(os.path.join(out, d, "data-repair.parquet")))
+    return sorted(pid for pid, m in read_manifest(out).items()
+                  if m["n_split_repaired"])
 
 
-def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch):
+def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, split_victims):
     """Split markers inside the one-execution files variant: the commit
-    recomputes the marked doc into data-repair.parquet and load_extracted
-    returns the complete doc set, marker-free."""
+    recomputes the marked doc into the partition's attempt dir and
+    load_extracted returns the complete doc set, marker-free."""
     from unravel_ray.schema import SPLIT_MARKER_STATUS
 
     victim = "doc-00000005"
-    _split_victims(monkeypatch, {victim})
+    split_victims({victim})
     files = _write_shards(tmp_path / "src", make_corpus(24), 3)
     out = str(tmp_path / "out")
     res = run_with_checkpoint_files(files, out, cfg=CFG)
     assert res["executed"] == [0, 1, 2]
 
-    assert _repaired_parts(out) == ["part-0"]  # doc 5 lives in the first shard
+    assert _repaired_parts(out) == [0]  # doc 5 lives in the first shard
     rows = load_extracted(out).take_all()
     assert sorted(r["doc_id"] for r in rows) == [f"doc-{i:08d}" for i in range(24)]
     assert all(r["status"] != SPLIT_MARKER_STATUS for r in rows)
@@ -230,7 +203,7 @@ def test_files_checkpoint_repairs_split_docs(ray_session, tmp_path, monkeypatch)
     assert sum(r["n_rows"] for r in read_manifest(out).values()) == 24
 
 
-def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, monkeypatch):
+def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, split_victims):
     """Split docs in two partitions of an interrupted, then resumed run:
     each partition commits its own exact recompute, so the final table
     equals a run without split docs row for row."""
@@ -238,7 +211,7 @@ def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, monkeypa
     clean = str(tmp_path / "clean")
     run_with_checkpoint_files(files, clean, cfg=CFG)
 
-    _split_victims(monkeypatch, {"doc-00000005", "doc-00000020"})
+    split_victims({"doc-00000005", "doc-00000020"})
     out = str(tmp_path / "out")
     with pytest.raises(PartitionInterrupted):
         run_with_checkpoint_files(files, out, cfg=CFG, fail_after=1)
@@ -248,7 +221,7 @@ def test_checkpoint_repairs_split_docs_streaming(ray_session, tmp_path, monkeypa
     assert res["skipped"] == sorted(first)
     assert sorted(res["executed"] + res["skipped"]) == [0, 1, 2]
 
-    assert _repaired_parts(out) == ["part-0", "part-2"]  # docs 5 and 20
+    assert _repaired_parts(out) == [0, 2]  # docs 5 and 20
     assert _rows(out) == _rows(clean)
     assert sum(r["n_rows"] for r in read_manifest(out).values()) == 24
 

@@ -14,7 +14,7 @@ import ray.data
 
 from oracle.pyref import extract_corpus, rollup_collections
 from unravel_ray.config import PipelineConfig
-from unravel_ray.pipeline import build_extraction, build_rollup
+from unravel_ray.pipeline import build_rollup, extract_publish
 from unravel_ray.synth import make_corpus
 
 N_DOCS = 300  # covers every archetype incl. whales, poison, invalid
@@ -26,10 +26,10 @@ def corpus() -> pa.Table:
 
 
 @pytest.fixture(scope="module")
-def pipeline_out(ray_session, corpus):
+def pipeline_out(ray_session, corpus, tmp_path_factory):
     cfg = PipelineConfig(ocr_concurrency=2)
     ds = ray.data.from_arrow(corpus).repartition(8)
-    out = build_extraction(ds, cfg)
+    out = extract_publish(ds, cfg, str(tmp_path_factory.mktemp("pub")))
     rows = out.take_all()
     return {r["doc_id"]: r for r in rows}
 
@@ -113,10 +113,10 @@ def test_corpus_exercises_all_paths(oracle_out):
     assert any(len(r["spans"]) >= 1 and r["n_chars"] > 20_000 for r in oracle_out.values())
 
 
-def test_rollup_matches_oracle(ray_session, corpus, oracle_out):
+def test_rollup_matches_oracle(ray_session, corpus, oracle_out, tmp_path):
     cfg = PipelineConfig(ocr_concurrency=2)
     ds = ray.data.from_arrow(corpus).repartition(8)
-    rollup = build_rollup(build_extraction(ds, cfg)).take_all()
+    rollup = build_rollup(extract_publish(ds, cfg, str(tmp_path / "pub"))).take_all()
     want = rollup_collections(list(oracle_out.values()))
     got = {r["collection_id"]: r for r in rollup}
     assert set(got) == set(want)
@@ -144,7 +144,7 @@ def test_whale_docs_explode_into_parallel_units(corpus):
     assert subs == sorted(subs)
 
 
-def test_mixed_content_doc_with_page_selection(ray_session):
+def test_mixed_content_doc_with_page_selection(ray_session, tmp_path):
     """A doc interleaving html + pdf pages + image + text (a shape the
     synth corpus never generates) with a discrete page selection: pipeline
     must equal oracle span-for-span."""
@@ -165,7 +165,8 @@ def test_mixed_content_doc_with_page_selection(ray_session):
         ],
     }
     t = pa.Table.from_pylist([doc], schema=DOCS_SCHEMA)
-    got = build_extraction(ray.data.from_arrow(t), PipelineConfig(ocr_concurrency=1)).take_all()[0]
+    got = extract_publish(ray.data.from_arrow(t), PipelineConfig(ocr_concurrency=1),
+                          str(tmp_path / "pub")).take_all()[0]
     want = extract_doc(doc)
     assert [(s["kind"], s["text"], s["media_ref"]) for s in got["spans"]] == [
         (s["kind"], s["text"], s["media_ref"]) for s in want["spans"]
@@ -179,12 +180,12 @@ def test_mixed_content_doc_with_page_selection(ray_session):
     assert kinds == ["heading", "text", "pdf_text", "ocr_text", "text", "text"]
 
 
-def test_actor_pool_ocr_matches_task_mode(ray_session, corpus, pipeline_out):
+def test_actor_pool_ocr_matches_task_mode(ray_session, corpus, pipeline_out, tmp_path):
     """ocr_compute='actors' (the warm-engine path real providers use) must
     produce identical output to the default worker-cached task mode."""
     cfg = PipelineConfig(ocr_compute="actors", ocr_concurrency=2)
     ds = ray.data.from_arrow(corpus).repartition(8)
-    rows = build_extraction(ds, cfg).take_all()
+    rows = extract_publish(ds, cfg, str(tmp_path / "pub")).take_all()
     actor_out = {r["doc_id"]: r for r in rows}
     assert set(actor_out) == set(pipeline_out)
     for doc_id, a in pipeline_out.items():

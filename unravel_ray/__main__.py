@@ -1,17 +1,18 @@
 """CLI entry points — the `ray job submit` surface of the engine.
 
-    python -m unravel_ray extract --input docs.parquet --output /out \
-        [--checkpoint] [--num-cpus 8]
-    python -m unravel_ray rollup --input /out/raw --output /out/rollup
-    python -m unravel_ray stats --input /out/raw
+    python -m unravel_ray extract --input DOCS --output OUT [--num-cpus 8]
+    python -m unravel_ray rollup --input OUT [--output ROLLUP_DIR]
+    python -m unravel_ray stats --input OUT
 
 `extract` runs the flagship interleaved-extraction pipeline on a parquet
 corpus of DOCS_SCHEMA rows (doc_id, spans list<struct<kind,text,
-media_ref,offset>>, mime_type, file_size, ...) via the
-write-audit-publish path; with --checkpoint it runs the
-partition-manifest variant instead, one partition per input parquet file
-(resumable: re-running skips committed partitions). On a cluster the
-same module runs unchanged under
+media_ref,offset>>, mime_type, file_size, ...): DOCS is a parquet file or
+a dir whose `*.parquet` files (recursive, sorted) are one partition each,
+committed through run_with_checkpoint_files — resumable: re-running skips
+committed partitions whose file is unchanged. `rollup` and `stats` read
+the committed output of OUT through load_extracted (extract's output or
+an extract_publish dir), never an attempt dir or a split-marker row. On a
+cluster the same module runs unchanged under
 `ray job submit -- python -m unravel_ray extract ...` with RAY_ADDRESS
 pointing at the cluster (ray.init here is guarded and local-only when no
 address is set).
@@ -47,35 +48,25 @@ def cmd_extract(args: argparse.Namespace) -> int:
     import ray
 
     from .checkpoint import run_with_checkpoint_files
-    from .config import PipelineConfig
-    from .pipeline import extract_publish, read_docs_corpus
 
     _ray_up(args.num_cpus)
-    cfg = PipelineConfig()
-    if args.checkpoint:
-        files = (sorted(glob.glob(os.path.join(args.input, "**", "*.parquet"),
-                                  recursive=True))
-                 if os.path.isdir(args.input) else [args.input])
-        summary = run_with_checkpoint_files(files, args.output, cfg=cfg)
-        print(json.dumps({"output": args.output, **summary}))
-    else:
-        extract_publish(read_docs_corpus(args.input), cfg, args.output)
-        with open(os.path.join(args.output, "PUBLISHED.json")) as f:
-            manifest = json.load(f)
-        print(json.dumps({"output": args.output, **manifest}))
+    files = (sorted(glob.glob(os.path.join(args.input, "**", "*.parquet"),
+                              recursive=True))
+             if os.path.isdir(args.input) else [args.input])
+    summary = run_with_checkpoint_files(files, args.output)
+    print(json.dumps({"output": args.output, **summary}))
     ray.shutdown()
     return 0
 
 
 def cmd_rollup(args: argparse.Namespace) -> int:
     import ray
-    import ray.data
 
+    from .checkpoint import load_extracted
     from .pipeline import build_rollup
 
     _ray_up(args.num_cpus)
-    extracted = ray.data.read_parquet(args.input)
-    out = build_rollup(extracted)
+    out = build_rollup(load_extracted(args.input))
     if args.output:
         out.write_parquet(args.output)
         print(json.dumps({"output": args.output, "n_rows": out.count()}))
@@ -87,14 +78,14 @@ def cmd_rollup(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    """Slim status/provider tallies of a committed extraction (footer-
-    friendly columns only)."""
+    """Slim status/provider tallies of a committed extraction."""
     import ray
-    import ray.data
     from ray.data.aggregate import Count
 
+    from .checkpoint import load_extracted
+
     _ray_up(args.num_cpus)
-    ds = ray.data.read_parquet(args.input, columns=["status", "provider"])
+    ds = load_extracted(args.input).select_columns(["status", "provider"])
     rows = (ds.groupby(["status", "provider"])
             .aggregate(Count(alias_name="n_docs")).take_all())
     for row in sorted(rows, key=lambda r: (-r["n_docs"],
@@ -112,21 +103,19 @@ def main(argv: list[str] | None = None) -> int:
     ex = sub.add_parser("extract", help="run the flagship extraction")
     ex.add_argument("--input", required=True,
                     help="parquet path/dir of DOCS_SCHEMA rows")
-    ex.add_argument("--output", required=True, help="publish directory")
-    ex.add_argument("--checkpoint", action="store_true",
-                    help="partition-manifest resumable variant, one "
-                         "partition per input parquet file")
+    ex.add_argument("--output", required=True,
+                    help="output dir (one committed part-{pid} per file)")
     ex.add_argument("--num-cpus", type=int, default=None)
     ex.set_defaults(fn=cmd_extract)
 
     ro = sub.add_parser("rollup", help="collection status rollup")
-    ro.add_argument("--input", required=True)
+    ro.add_argument("--input", required=True, help="committed output dir")
     ro.add_argument("--output", default=None)
     ro.add_argument("--num-cpus", type=int, default=None)
     ro.set_defaults(fn=cmd_rollup)
 
     st = sub.add_parser("stats", help="status/provider tallies")
-    st.add_argument("--input", required=True)
+    st.add_argument("--input", required=True, help="committed output dir")
     st.add_argument("--num-cpus", type=int, default=None)
     st.set_defaults(fn=cmd_stats)
 

@@ -7,9 +7,9 @@ collapses into one lazy streaming Dataset plan:
     read → explode_extract (stateless tasks)
          → OcrStage (actor pool, warm providers)
          → finalize_block: block-local merge + in-doc sort(offset, sub);
-           docs split by a block cut come out as marker rows and are
-           recomputed from source (targeted repair)
-         → extracted
+           docs split by a block cut come out as marker rows
+         → extract_publish: committed through the checkpoint protocol
+           (workers write the rows; split docs are recomputed from source)
     extracted → groupby(collection_id) aggregate → rollup   # G2
 
 Everything streams with backpressure; nothing materializes the full input.
@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
-import shutil
 import tempfile
 import time
 
@@ -33,7 +31,7 @@ import ray.data
 from ray.data import Dataset
 
 from .config import PipelineConfig
-from .schema import EXTRACTED_SCHEMA, SPLIT_MARKER_STATUS
+from .schema import EXTRACTED_SCHEMA
 from .stages import OcrStage, explode_extract, finalize_block, ocr_task
 from .synth import interleave_documents_batch
 
@@ -87,124 +85,23 @@ def _ocr_stage(units: Dataset, cfg: PipelineConfig) -> Dataset:
     )
 
 
-def build_extraction(ds: Dataset, cfg: PipelineConfig | None = None) -> Dataset:
-    """docs (DOCS_SCHEMA) -> extracted (EXTRACTED_SCHEMA).
+def _build_extraction_core(ds: Dataset, cfg: PipelineConfig) -> Dataset:
+    """docs (DOCS_SCHEMA) -> extracted (EXTRACTED_SCHEMA), one streaming
+    plan: explode -> OCR -> finalize_block.
 
     explode_extract keeps each doc's work units contiguous in one block,
     so finalize_block reassembles each doc inside its block: merge +
     in-doc sort(offset, sub). A doc split by a mid-table block cut
     (possible only when a map output exceeds target_max_block_size) comes
-    out as a SPLIT_MARKER_STATUS row and is recomputed exactly from the
-    source (_repair_split_docs). No span payload ever rides a shuffle.
-    """
-    cfg = cfg or PipelineConfig()
-    return _repair_split_docs(ds, _build_extraction_core(ds, cfg), cfg)
-
-
-def _build_extraction_core(ds: Dataset, cfg: PipelineConfig) -> Dataset:
-    """The raw streaming plan: explode -> OCR -> finalize_block. The output
-    may contain SPLIT_MARKER_STATUS rows for docs whose work units
-    straddled a block boundary (detected block-locally via n_units — no
-    shuffle); callers resolve them via _repair_split_docs (in-memory),
-    extract_publish (write-audit-publish) or run_with_checkpoint_files
-    (recompute at commit)."""
+    out as a SPLIT_MARKER_STATUS row instead — detected block-locally via
+    n_units, no shuffle. The commit protocol (checkpoint._extract_commit,
+    behind extract_publish and run_with_checkpoint_files) never writes
+    those rows and recomputes their docs from source."""
     units = ds.map_batches(
         explode_extract, batch_format="pyarrow", batch_size=cfg.explode_batch_size
     )
     return _ocr_stage(units, cfg).map_batches(
         finalize_block, batch_format="pyarrow", batch_size=None)
-
-
-def _marker_ids(t: pa.Table) -> pa.Table:
-    return t.filter(pc.equal(t["status"], SPLIT_MARKER_STATUS)).select(["doc_id"])
-
-
-def _audit_split_ids(raw_dir: str) -> tuple[frozenset, int, int]:
-    """Find split-marker doc_ids in written output via parquet FOOTER
-    statistics only: SPLIT_MARKER_STATUS ('__split__') sorts before every
-    real status ('c...'/'f...'), so a row group containing a marker has
-    status.min < 'a'. Files whose footers prove marker-free are never
-    read — the audit costs KB of metadata per file, not a data scan.
-    Only suspect files (normally none) get a slim (doc_id,status) read.
-    At cluster scale this loop is itself trivially parallelizable (one
-    footer per task); file counts here don't warrant it.
-
-    Returns (marker doc_ids, n_marker_rows, n_raw_rows) — row counts come
-    from the same footers, so the publish manifest records an exact row
-    count with zero data read."""
-    import pyarrow.parquet as pq
-
-    files = sorted(
-        os.path.join(raw_dir, f) for f in os.listdir(raw_dir)
-        if f.endswith(".parquet")
-    )
-    suspects = []
-    n_raw = 0
-    for path in files:
-        md = pq.ParquetFile(path).metadata
-        n_raw += md.num_rows
-        status_idx = md.schema.names.index("status")
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(status_idx).statistics
-            if st is None or not st.has_min_max or st.min < "a":
-                suspects.append(path)
-                break
-    if not suspects:
-        return frozenset(), 0, n_raw
-    ids: set[str] = set()
-    n_marker = 0
-    for path in suspects:
-        t = pq.read_table(path, columns=["doc_id", "status"])
-        m = _marker_ids(t)
-        n_marker += m.num_rows
-        ids.update(m["doc_id"].to_pylist())
-    return frozenset(ids), n_marker, n_raw
-
-
-def _recompute_docs(docs: Dataset, dup_ids: frozenset, cfg: PipelineConfig) -> Dataset:
-    """Re-extract exactly the given doc_ids from source in a single block
-    (one block => finalize sees every unit => markers impossible)."""
-    import ray
-
-    ref = ray.put(pa.array(sorted(dup_ids), pa.string()))
-
-    def keep_dups(t: pa.Table) -> pa.Table:
-        bad = ray.get(ref)
-        return t.filter(pc.is_in(t["doc_id"], value_set=bad))
-
-    redo_src = docs.map_batches(keep_dups, batch_format="pyarrow").repartition(1)
-    redo_units = redo_src.map_batches(
-        explode_extract, batch_format="pyarrow", batch_size=cfg.explode_batch_size
-    )
-    return _ocr_stage(redo_units, cfg).map_batches(
-        finalize_block, batch_format="pyarrow", batch_size=None
-    )
-
-
-def _repair_split_docs(docs: Dataset, extracted: Dataset, cfg: PipelineConfig) -> Dataset:
-    """Correctness net for block-local reassembly, in-memory variant:
-    incomplete docs already self-identify as SPLIT_MARKER_STATUS rows
-    (block-local n_units check inside finalize_block — no groupby,
-    nothing shuffles). Here we pin the output once (it is the final
-    in-memory result being handed back; callers are tests and small
-    composable pipelines), scan for markers, and splice in an exact
-    recompute of just those docs. The unbounded paths avoid this entirely
-    and never materialize anything: run_flagship/entry use
-    extract_publish (audits WRITTEN output via parquet footers) and
-    checkpoint.run_with_checkpoint_files gets marker doc_ids from its
-    workers' per-block summary rows.
-    """
-    extracted = extracted.materialize()
-    marker_rows = extracted.map_batches(_marker_ids, batch_format="pyarrow").take_all()
-    if not marker_rows:
-        return extracted
-    dup_ids = frozenset(r["doc_id"] for r in marker_rows)
-
-    def drop_markers(t: pa.Table) -> pa.Table:
-        return t.filter(pc.not_equal(t["status"], SPLIT_MARKER_STATUS))
-
-    clean = extracted.map_batches(drop_markers, batch_format="pyarrow")
-    return clean.union(_recompute_docs(docs, dup_ids, cfg))
 
 
 @contextlib.contextmanager
@@ -243,59 +140,41 @@ def _publish_lock(out_dir: str, timeout_s: float = 600.0):
 
 def extract_publish(docs: Dataset, cfg: PipelineConfig | None = None,
                     out_dir: str | None = None) -> Dataset:
-    """Write-audit-publish extraction — the default unbounded-scale path.
+    """Extract ``docs`` into ``out_dir`` and return a lazy read of the
+    committed parquet — the default unbounded-scale path.
 
-    One streaming pass writes the raw extraction to partitioned parquet
-    (object store never pins the corpus; output is resumable/persistent).
-    The audit checks parquet FOOTER statistics for SPLIT_MARKER_STATUS
-    rows (block-local detection happened at emission, so no
-    groupby/shuffle anywhere; see _audit_split_ids); split docs —
-    normally zero — are recomputed exactly from source into a repair
-    partition.
-    Publish = lazy read of the committed parquet, marker rows filtered.
+    This is the single-partition case (id 0) of the checkpoint commit
+    protocol (checkpoint._extract_commit): workers write the rows into an
+    attempt dir, split docs are recomputed from source into the same dir,
+    the dir is renamed to ``part-0`` and a PUBLISHED.json manifest
+    (n_rows, n_completed, n_failed, n_split_repaired, wall_time_s)
+    commits it. The object store never pins the corpus and no extracted
+    row reaches the driver.
 
-    A PUBLISHED.json manifest commits the output; re-calling with the same
-    out_dir returns the committed result without recomputing (the
-    read-through-cache analog, SURVEY.md A6). Pass out_dir=None for a
-    fresh throwaway directory under /tmp.
+    Re-calling with the same out_dir returns the committed result without
+    recomputing (the read-through-cache analog, SURVEY.md A6); processes
+    sharing one out_dir build it once under _publish_lock. Pass
+    out_dir=None for a fresh throwaway directory under /tmp.
     """
-    import ray.data
+    from . import checkpoint
 
     cfg = cfg or PipelineConfig()
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="unravel-publish-")
     manifest_path = os.path.join(out_dir, "PUBLISHED.json")
-    raw_dir = os.path.join(out_dir, "raw")
-    repair_dir = os.path.join(out_dir, "repair")
     if not os.path.exists(manifest_path):
         os.makedirs(out_dir, exist_ok=True)
         with _publish_lock(out_dir):
             # re-check under the lock: another process may have committed
-            # while we waited (two sessions sharing the publish cache must
-            # not rmtree/rewrite raw_dir under each other)
+            # while we waited
             if not os.path.exists(manifest_path):
-                shutil.rmtree(raw_dir, ignore_errors=True)
-                shutil.rmtree(repair_dir, ignore_errors=True)
-                _build_extraction_core(docs, cfg).write_parquet(raw_dir)
-                split_ids, n_marker, n_raw = _audit_split_ids(raw_dir)
-                if split_ids:
-                    _recompute_docs(docs, split_ids, cfg).write_parquet(repair_dir)
-                tmp = manifest_path + ".tmp"
-                with open(tmp, "w") as f:
-                    json.dump({"n_split_repaired": len(split_ids),
-                               "n_rows": n_raw - n_marker + len(split_ids)}, f)
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.rename(tmp, manifest_path)
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    ds = ray.data.read_parquet(raw_dir)
-    if manifest["n_split_repaired"]:
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.not_equal(t["status"], SPLIT_MARKER_STATUS)),
-            batch_format="pyarrow",
-        ).union(ray.data.read_parquet(repair_dir))
-    return ds
+                tagged = docs.map_batches(
+                    checkpoint._tag_constant, fn_kwargs={"pid": 0},
+                    batch_format="pyarrow", batch_size=None)
+                checkpoint._extract_commit(
+                    tagged, {0: checkpoint._Pending(lambda: docs, None)}, out_dir,
+                    cfg, lambda pid, stats: checkpoint._write_json(manifest_path, stats))
+    return checkpoint.load_extracted(out_dir)
 
 
 def build_rollup(extracted: Dataset) -> Dataset:
@@ -438,10 +317,10 @@ def flagship_publish_dir(sf_dir: str, cfg: PipelineConfig) -> str:
 def run_flagship(sf_dir: str, cfg: PipelineConfig | None = None) -> Dataset:
     """documents.parquet -> interleave -> extract; the entry() pipeline.
 
-    Uses the write-audit-publish path: one streaming pass to partitioned
-    parquet, slim on-disk audit, lazy read back — the plan never holds the
-    corpus in the object store, and repeated flagship-derived queries
-    reuse the committed extraction (cache keyed on input+config+code)."""
+    Uses extract_publish: one streaming pass committed to parquet, lazy
+    read back — the plan never holds the corpus in the object store, and
+    repeated flagship-derived queries reuse the committed extraction
+    (cache keyed on input+config+code)."""
     cfg = cfg or PipelineConfig()
     return extract_publish(
         documents_to_docs(sf_dir, cfg), cfg, flagship_publish_dir(sf_dir, cfg)

@@ -2011,8 +2011,8 @@ def doc_size_percentiles(sf_dir: str) -> Dataset:
 
     Shape: only the slim (lang, n_chars) columns ride the shuffle; exact
     percentiles inherently need the group's values co-located (the
-    mergeable APPROXIMATE sketch for corpus-scale lives in
-    metrics.StageMetrics histograms)."""
+    mergeable APPROXIMATE sketch for corpus-scale is
+    sketch.quantile_sketch)."""
     ds = _pq(sf_dir, "documents", ["lang", "n_chars"])
     # q as integer fractions: ceil(num*n/den) - 1
     qs = [("p50_chars", 1, 2), ("p90_chars", 9, 10)]
