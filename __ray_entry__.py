@@ -234,20 +234,14 @@ def _heavy_hitter_words(sf_dir: str):
 
 
 def _token_stats(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
+    from unravel_ray.relational import keyed_aggregate
     from unravel_ray.textstats import token_counts
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
-    return (
-        token_counts(ds)
-        .groupby("lang")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_words", alias_name="total_words"),
-            Sum("n_tokens", alias_name="total_tokens"),
-        )
-    )
+    return keyed_aggregate(
+        token_counts(ds), ["lang"],
+        [("n_docs", None, "count_all"), ("total_words", "n_words", "sum"),
+         ("total_tokens", "n_tokens", "sum")])
 
 
 def _image_decode(sf_dir: str):
@@ -278,7 +272,7 @@ def _image_resize(sf_dir: str):
     blobs = synth_blobs([str(d) for d in t["doc_id"].to_pylist()])
     ds = ray.data.from_arrow(blobs).map_batches(
         ImageResizeStage, fn_constructor_kwargs={"size": (16, 16)},
-        batch_format="pyarrow", batch_size=32, concurrency=2)
+        batch_format="pyarrow", batch_size=32, concurrency=(1, 2))
 
     def project(b: pa.Table) -> pa.Table:
         sums = [int(np.asarray(p, dtype=np.int64).sum()) for p in b["pixels"].to_pylist()]
@@ -404,13 +398,13 @@ def _extraction_confidence(sf_dir: str):
     providers.fake_confidence_bp)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
     from unravel_ray.pipeline import run_flagship
+    from unravel_ray.relational import keyed_aggregate
 
     ext = run_flagship(sf_dir)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def completed_conf(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.equal(t["status"], "completed"),
                        pc.is_valid(t["confidence_micros"]))
         t = t.filter(keep)
@@ -419,12 +413,10 @@ def _extraction_confidence(sf_dir: str):
             "conf": pc.cast(t["confidence_micros"], pa.int64()),
         })
 
-    agg = (
-        ext.map_batches(partial, batch_format="pyarrow")
-        .groupby("provider")
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("conf", alias_name="sum_confidence_micros"))
-    )
+    agg = keyed_aggregate(
+        ext.map_batches(completed_conf, batch_format="pyarrow"), ["provider"],
+        [("n_docs", None, "count_all"),
+         ("sum_confidence_micros", "conf", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
         mean = pc.divide(t["sum_confidence_micros"],
@@ -621,7 +613,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
     extract_publish onto the checkpoint commit protocol rewrote
     run_flagship's committed layout, so export_docx (built on it) rotated
     in, in place of validation_accounting (green in CORRECTNESS_r05, code
-    unchanged since)."""
+    unchanged since). Moving every groupby-aggregate onto
+    relational.keyed_aggregate rotated in validation_accounting,
+    collection_rollup, table_stats, vocab_top_words, dataset_splits,
+    source_stats, lang_distribution, orders_price_bands,
+    event_hopping_windows, mean_confidence_by_provider, event_type_counts
+    and collection_size_gate, in place of ai_enrich, search_projection,
+    export_markdown, search_highlights, quality_scores, ann_topk,
+    gopher_quality, decontaminate, inverted_index, tfidf_rank,
+    bloom_semijoin and fingerprints (all green in CORRECTNESS_r05, code
+    unchanged since). image_decode, image_resize, frame_sample and
+    audio_features only changed their actor-pool size, not their output,
+    and stay past the window."""
     from unravel_ray import relational as R
 
     return {
@@ -631,42 +634,43 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "flagship_statuses": _flagship_statuses,
         "extraction_confidence": _extraction_confidence,
         "quarantine": _quarantine,
-        "ai_enrich": _ai_enrich,
-        "search_projection": _search_projection,
-        "export_markdown": _export_markdown,
         # rotated IN when extract_publish moved onto the checkpoint commit
-        # protocol (export_docx reads run_flagship's committed layout);
-        # swapped with validation_accounting, r5-certified, code unchanged
+        # protocol (export_docx reads run_flagship's committed layout)
         "export_docx": _export_docx,
         # ---- core reference-parity operators (M7/G2/J1/G6/O4/D1...) ----
         # rotated IN with the block_exchange rewrite (combiner-first
         # word_counts_by_lang; hash_join's exchange and footer-derived
-        # side schemas) — swapped with collection_rollup,
-        # docs_with_ocr_status and pii_scrub_stats, all r5-certified
-        # with code unchanged since
+        # side schemas)
         "word_counts_by_lang": R.word_counts_by_lang,
         "customers_without_orders": R.customers_without_orders,
         "orders_customer_full_join": R.orders_customer_full_join,
         # rotated IN after the post-review fixes (oracle-aligned case
-        # folding touched the jaccard scalar path; search_highlights'
-        # snippet lowering changed) — swapped with word_counts_by_lang
-        # and search_content, both r4-certified and unchanged since
+        # folding touched the jaccard scalar path)
         "jaccard_pairs": _jaccard_pairs,
-        "search_highlights": R.search_highlights,
         "dedup_exact": _dedup_exact,
         "storage_reconcile": _storage_reconcile,
-        # ---- training-data + search ops new or upgraded this round ----
-        # rotated IN late in round 5 (combiner-first / fixed-block
-        # aggregate rewrites; swapped with search_fuzzy and
-        # lang_distribution, both r4-certified and unchanged since)
+        # rotated IN with keyed_aggregate (their groupby-aggregates moved
+        # onto it); swapped with ai_enrich, search_projection,
+        # export_markdown, search_highlights, quality_scores, ann_topk,
+        # gopher_quality, decontaminate, inverted_index, tfidf_rank,
+        # bloom_semijoin and fingerprints — r5-certified, code unchanged
+        "validation_accounting": R.validation_accounting,
+        "collection_rollup": R.collection_rollup,
+        "table_stats": _table_stats,
+        "vocab_top_words": _vocab_top_words,
+        "dataset_splits": _dataset_splits,
+        "source_stats": R.source_stats,
+        "lang_distribution": _lang_distribution,
+        "orders_price_bands": R.orders_price_bands,
+        "event_hopping_windows": R.event_hopping_windows,
+        "mean_confidence_by_provider": R.mean_confidence_by_provider,
+        "event_type_counts": R.event_type_counts,
+        "collection_size_gate": R.collection_size_gate,
+        # ---- training-data + search ops (keyed_aggregate rewrites) ----
         "lineitem_pricing": R.lineitem_pricing,
         "user_event_totals": R.user_event_totals,
-        "quality_scores": _quality_scores,
         "token_stats": _token_stats,
         "embedding_neardup": _embedding_neardup,
-        "ann_topk": _ann_topk,
-        "gopher_quality": _gopher_quality,
-        "decontaminate": _decontaminate,
         "dup_passages": _dup_passages,
         "domain_mixture": _domain_mixture,
         "pack_sequences": _pack_sequences,
@@ -674,27 +678,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "size_quantile_sketch": _size_quantile_sketch,
         "curate_corpus": _curate_corpus,
         "sample_to_budget": _sample_to_budget,
-        "inverted_index": _inverted_index,
-        "tfidf_rank": _tfidf_rank,
-        # rotated IN late in round 5 (fixed-block rewrite; swapped with
-        # dataset_splits, r4-certified and unchanged since)
         "event_hourly_windows": R.event_hourly_windows,
-        "bloom_semijoin": _bloom_semijoin,
         # P31 universal-hash family: signatures/buckets reproduced verbatim
-        # by DuckDB (see _minhash_base_cte and friends) — no_oracle in r2,
-        # exact SQL rows since
+        # by DuckDB (see _minhash_base_cte and friends)
         "minhash_pairs": _minhash_pairs,
         "minhash_clusters": _minhash_clusters,
         "simhash_pairs": _simhash_pairs,
-        "fingerprints": _fingerprints,
         "extract_then_neardup": _extract_then_neardup,
         "heavy_hitter_words": _heavy_hitter_words,
         "user_sliding_window": R.user_sliding_window,
-        # ---- round-5 rotations INTO the window (VERDICT r4 item 4 + the
-        # entries whose code changed this round): the six r4-rewritten
-        # window kernels/joins whose last driver rows predate that code,
-        # plus event_props_stats (r5 regex path) and orders_customer_join
-        # (r5 hash_strings chunking; also the benched join) ----
+        # ---- round-5 rotations INTO the window: the r4-rewritten window
+        # kernels/joins, event_props_stats and orders_customer_join ----
         "event_sessions": R.event_sessions,
         "first_event_per_user": R.first_event_per_user,
         "user_running_totals": R.user_running_totals,
@@ -704,46 +698,43 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "event_props_stats": R.event_props_stats,
         "orders_customer_join": R.orders_customer_join,
         # ---- past the window: every entry below is driver-green in a
-        # prior round with code unchanged since its certification
-        # (audio_features / frame_sample / table_stats /
-        # lsh_topk / ivf_topk / ivf_index_topk / search_content /
-        # dataset_splits / search_fuzzy / lang_distribution are this
-        # round's sacrifices, all certified green in CORRECTNESS_r04;
-        # collection_rollup / docs_with_ocr_status / pii_scrub_stats /
-        # validation_accounting in CORRECTNESS_r05; vocab_top_words / image_resize / image_decode
-        # in CORRECTNESS_r03) — and the full 81-entry sweep
-        # still re-verifies values at sf0.001 on every pytest run ----
+        # prior round with code unchanged since its certification (the
+        # first twelve in CORRECTNESS_r05; image_decode, image_resize,
+        # frame_sample and audio_features changed only their actor-pool
+        # size) — and the full
+        # 81-entry sweep still re-verifies values at sf0.001 on every
+        # pytest run ----
+        "ai_enrich": _ai_enrich,
+        "search_projection": _search_projection,
+        "export_markdown": _export_markdown,
+        "search_highlights": R.search_highlights,
+        "quality_scores": _quality_scores,
+        "ann_topk": _ann_topk,
+        "gopher_quality": _gopher_quality,
+        "decontaminate": _decontaminate,
+        "inverted_index": _inverted_index,
+        "tfidf_rank": _tfidf_rank,
+        "bloom_semijoin": _bloom_semijoin,
+        "fingerprints": _fingerprints,
         "lsh_topk": _lsh_topk,
         "audio_features": _audio_features,
-        "validation_accounting": R.validation_accounting,
-        "collection_rollup": R.collection_rollup,
         "docs_with_ocr_status": R.docs_with_ocr_status,
         "pii_scrub_stats": R.pii_scrub_stats,
         "ivf_topk": _ivf_topk,
         "ivf_index_topk": _ivf_index_topk,
-        "table_stats": _table_stats,
         "frame_sample": _frame_sample,
         "image_decode": _image_decode,
         "search_content": R.search_content,
-        "vocab_top_words": _vocab_top_words,
         "image_resize": _image_resize,
-        "dataset_splits": _dataset_splits,
-        "source_stats": R.source_stats,
         "search_fuzzy": R.search_fuzzy,
-        "lang_distribution": _lang_distribution,
         "top_documents": R.top_documents,
         "documents_filtered": R.documents_filtered,
         "document_previews": R.document_previews,
         "sample_documents": R.sample_documents,
-        "orders_price_bands": R.orders_price_bands,
-        "event_hopping_windows": R.event_hopping_windows,
         "documents_page2": R.documents_page2,
-        "mean_confidence_by_provider": R.mean_confidence_by_provider,
         "distinct_counts": R.distinct_counts,
         "doc_size_percentiles": R.doc_size_percentiles,
         "top_docs_per_lang": R.top_docs_per_lang,
-        "event_type_counts": R.event_type_counts,
-        "collection_size_gate": R.collection_size_gate,
     }
 
 

@@ -15,6 +15,12 @@ texts joined per doc): word shingling per doc (the scalar
 ``MinHashStage`` (batch shingling + the K x S permutation kernel + band
 hashes). The worker word-hash cache is warm in both shingling timings.
 
+The keyed-aggregate kernels run on a deterministic lineitem-shaped block
+(100k rows, 4 keys — two strings, two ints — x 4 int value columns):
+``_keyed_partial`` over the whole block, and ``_keyed_merge`` over the
+partials of the same rows cut into 8 blocks, as one reduce partition
+receives them.
+
 Usage: ``python microbench.py`` — prints one JSON line. No Ray session
 (pure local kernels), safe to run any time.
 """
@@ -29,6 +35,24 @@ def _best(fn, arg, n=5):
         out = fn(arg)
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def _lineitem_block(n: int = 100_000):
+    """Deterministic lineitem-shaped table: 4 keys x 4 int columns."""
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.default_rng(0)
+    return pa.table({
+        "returnflag": pa.array(np.array(["A", "N", "R"])[rng.integers(0, 3, n)]),
+        "linestatus": pa.array(np.array(["F", "O"])[rng.integers(0, 2, n)]),
+        "shipmode": pa.array(rng.integers(0, 7, n), pa.int64()),
+        "suppkey": pa.array(rng.integers(0, 1000, n), pa.int64()),
+        "qty": pa.array(rng.integers(1, 51, n), pa.int64()),
+        "price_cents": pa.array(rng.integers(90_000, 10_000_000, n), pa.int64()),
+        "disc_bp": pa.array(rng.integers(0, 11, n), pa.int64()),
+        "tax_bp": pa.array(rng.integers(0, 9, n), pa.int64()),
+    })
 
 
 def main() -> None:
@@ -64,6 +88,19 @@ def main() -> None:
     t_sh_doc, _ = _best(lambda ts: [_shingle_hashes(t) for t in ts], texts)
     t_sh_batch, (_, counts) = _best(_shingle_hashes_batch, text)
     t_sign, banded = _best(MinHashStage(), docs)
+
+    from unravel_ray.relational import _keyed_merge, _keyed_partial
+
+    li = _lineitem_block()
+    keys = ["returnflag", "linestatus", "shipmode", "suppkey"]
+    aggs = [("n", None, "count_all"), ("qty", "qty", "sum"),
+            ("price_cents", "price_cents", "sum"),
+            ("disc_lo", "disc_bp", "min"), ("tax_hi", "tax_bp", "max")]
+    t_kpart, part = _best(lambda b: _keyed_partial(b, keys, aggs), li)
+    step = li.num_rows // 8
+    merge_in = pa.concat_tables([_keyed_partial(li.slice(i, step), keys, aggs)
+                                 for i in range(0, li.num_rows, step)])
+    t_kmerge, merged = _best(lambda p: _keyed_merge(p, keys, aggs), merge_in)
     print(json.dumps({
         "metric": "single-thread hot-loop sec per 1500-doc synth block",
         "explode_sec": round(t_explode, 4),
@@ -77,6 +114,11 @@ def main() -> None:
         "minhash_sign_sec": round(t_sign, 4),
         "minhash_shingles": int(counts.sum()),
         "minhash_band_rows": banded.num_rows,
+        "keyed_partial_sec": round(t_kpart, 4),
+        "keyed_merge_sec": round(t_kmerge, 4),
+        "keyed_partial_rows": part.num_rows,
+        "keyed_merge_rows_in": merge_in.num_rows,
+        "keyed_groups": merged.num_rows,
         "host_probe_matmul_sec": probe,
     }))
 

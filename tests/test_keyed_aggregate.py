@@ -1,0 +1,133 @@
+"""relational.keyed_aggregate against one Arrow group_by over the whole
+input: same groups, same values, same dtypes, whatever the block layout."""
+
+import datetime
+
+import pyarrow as pa
+import pyarrow.compute as pc
+
+AGGS = [("n", None, "count_all"), ("s", "v", "sum"),
+        ("lo", "v", "min"), ("hi", "v", "max")]
+
+
+def _reference(table: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """One pa.TableGroupBy over the concatenated input, renamed, with
+    integer sums as int64 — what keyed_aggregate must return."""
+    spec = [([], "count_all") if fn == "count_all" else (col, fn)
+            for _, col, fn in aggs]
+    g = pa.TableGroupBy(table, keys).aggregate(spec)
+    vals = [c for n, c in zip(g.column_names, g.columns) if n not in keys]
+    cols = {k: g[k] for k in keys}
+    for (name, _, fn), col in zip(aggs, vals):
+        cols[name] = (pc.cast(col, pa.int64())
+                      if fn in ("sum", "count_all") else col)
+    return pa.table(cols)
+
+
+def _run(table: pa.Table, keys: list[str], aggs=AGGS, n_blocks: int = 5):
+    """keyed_aggregate over ``table`` cut into ``n_blocks`` input blocks;
+    returns (result table, number of non-empty output blocks)."""
+    import ray
+    import ray.data
+
+    from unravel_ray.relational import keyed_aggregate
+
+    step = max(1, -(-table.num_rows // n_blocks))
+    ds = ray.data.from_arrow(
+        [table.slice(i, step) for i in range(0, max(table.num_rows, 1), step)])
+    out = [t for t in ray.get(
+        keyed_aggregate(ds, keys, aggs).to_arrow_refs()) if t.num_rows]
+    return (pa.concat_tables(out) if out else None), len(out)
+
+
+def _check(table: pa.Table, keys: list[str], aggs=AGGS, n_blocks: int = 5):
+    got, n_out = _run(table, keys, aggs, n_blocks)
+    order = [(k, "ascending") for k in keys]
+    want = _reference(table, keys, aggs).sort_by(order)
+    got = got.sort_by(order)
+    assert got.schema == want.schema, (got.schema, want.schema)
+    assert got.combine_chunks().equals(want.combine_chunks())
+    return got, n_out
+
+
+def test_int_key_matches_one_group_by(ray_session):
+    t = pa.table({"k": pa.array([i % 7 for i in range(300)], pa.int64()),
+                  "v": pa.array([i * 3 - 100 for i in range(300)], pa.int32())})
+    got, _ = _check(t, ["k"])
+    # sums widen to int64, min/max keep the column's dtype
+    assert got.schema.field("s").type == pa.int64()
+    assert got.schema.field("n").type == pa.int64()
+    assert got.schema.field("lo").type == pa.int32()
+    assert got.schema.field("hi").type == pa.int32()
+
+
+def test_string_key_with_nulls(ray_session):
+    keys = ["a", None, "b", "a", None, "c"] * 40
+    t = pa.table({"k": pa.array(keys, pa.string()),
+                  "v": pa.array(range(len(keys)), pa.int64())})
+    got, _ = _check(t, ["k"])
+    assert got.num_rows == 4  # nulls form one group, as in SQL GROUP BY
+
+
+def test_timestamp_and_bool_keys(ray_session):
+    base = datetime.datetime(2024, 1, 1)
+    t = pa.table({
+        "ts": pa.array([base + datetime.timedelta(hours=i % 5)
+                        for i in range(200)], pa.timestamp("us")),
+        "flag": pa.array([i % 3 == 0 for i in range(200)], pa.bool_()),
+        "v": pa.array(range(200), pa.int64()),
+    })
+    got, _ = _check(t, ["ts", "flag"])
+    assert got.schema.field("ts").type == pa.timestamp("us")
+    assert got.schema.field("flag").type == pa.bool_()
+    # min/max of a timestamp column keep the timestamp type
+    got, _ = _check(t, ["flag"], [("first", "ts", "min"), ("last", "ts", "max")])
+    assert got.schema.field("first").type == pa.timestamp("us")
+
+
+def test_constant_first_key_still_spreads(ray_session):
+    """Block ids hash every key column: pairs that share their first key
+    land in more than one reduce partition (hashing only the first key
+    would send all of them to one task)."""
+    from unravel_ray.relational import exchange_partitions, AGG_BLOCKS
+
+    t = pa.table({"g": pa.array(["only"] * 400, pa.string()),
+                  "v": pa.array([i % 100 for i in range(400)], pa.int64()),
+                  "w": pa.array(range(400), pa.int64())})
+    aggs = [("n", None, "count_all"), ("s", "w", "sum")]
+    got, n_out = _check(t, ["g", "v"], aggs)
+    assert got.num_rows == 100
+    assert exchange_partitions(AGG_BLOCKS) > 1
+    assert n_out > 1
+
+
+def test_sum_over_all_null_group_is_null(ray_session):
+    t = pa.table({"k": pa.array(["x", "x", "y", "y", "y"] * 10, pa.string()),
+                  "v": pa.array([None, None, 1, None, 2] * 10, pa.int64())})
+    got, _ = _check(t, ["k"])
+    x = got.filter(pc.equal(got["k"], "x"))
+    assert x["n"].to_pylist() == [20]
+    assert x["s"].to_pylist() == [None]
+    assert x["lo"].to_pylist() == [None]
+    assert x["hi"].to_pylist() == [None]
+
+
+def test_boolean_sum_is_int64(ray_session):
+    t = pa.table({"k": pa.array([i % 3 for i in range(90)], pa.int64()),
+                  "b": pa.array([i % 2 == 0 for i in range(90)], pa.bool_())})
+    got, _ = _check(t, ["k"], [("n_true", "b", "sum")])
+    assert got.schema.field("n_true").type == pa.int64()
+
+
+def test_one_row(ray_session):
+    t = pa.table({"k": pa.array(["a"], pa.string()),
+                  "v": pa.array([5], pa.int64())})
+    got, _ = _check(t, ["k"], n_blocks=1)
+    assert got.to_pylist() == [{"k": "a", "n": 1, "s": 5, "lo": 5, "hi": 5}]
+
+
+def test_empty_input_gives_no_rows(ray_session):
+    t = pa.table({"k": pa.array([], pa.string()),
+                  "v": pa.array([], pa.int64())})
+    got, n_out = _run(t, ["k"], n_blocks=1)
+    assert got is None and n_out == 0

@@ -109,12 +109,16 @@ def test_priority_window_contains_new_and_core_queries():
     count (50 observed in r2–r4). Every entry whose implementation
     changed since its last driver CORRECTNESS row must sit inside the
     first 50; only entries driver-green on unchanged code may fall past
-    the window (round-5 sacrifices: audio_features, frame_sample,
-    export_docx, table_stats, lsh_topk, ivf_topk, ivf_index_topk,
-    dataset_splits, search_fuzzy, lang_distribution — all green in
-    CORRECTNESS_r04; the last three were swapped out late in round 5 for
-    the rewritten event_hourly_windows, lineitem_pricing and
-    user_event_totals)."""
+    the window. The keyed_aggregate rewrite rotated twelve rewritten
+    entries in (validation_accounting, collection_rollup, table_stats,
+    vocab_top_words, dataset_splits, source_stats, lang_distribution,
+    orders_price_bands, event_hopping_windows,
+    mean_confidence_by_provider, event_type_counts, collection_size_gate)
+    in place of ai_enrich, search_projection, export_markdown,
+    search_highlights, quality_scores, ann_topk, gopher_quality,
+    decontaminate, inverted_index, tfidf_rank, bloom_semijoin and
+    fingerprints — all green in CORRECTNESS_r05 with code unchanged
+    since."""
     import __ray_entry__ as e
 
     names = list(e.queries())
@@ -134,7 +138,7 @@ def test_priority_window_contains_new_and_core_queries():
         # exactly-once LSH emission, combiner-first exact dedup and the
         # read-from-materialized candidate verify
         "jaccard_pairs", "dedup_exact",
-        "fingerprints", "heavy_hitter_words", "storage_reconcile",
+        "heavy_hitter_words", "storage_reconcile",
         "user_sliding_window", "user_running_totals", "event_props_stats",
         "orders_customer_join", "extract_then_neardup",
         # late-r5 combiner-first / fixed-block aggregate rewrites
@@ -144,17 +148,21 @@ def test_priority_window_contains_new_and_core_queries():
         "event_sessions", "first_event_per_user",
         "purchases_with_last_click", "customers_by_region",
         "orders_by_segment",
-        # round-3 training-data operators still inside
-        "gopher_quality", "decontaminate", "dup_passages",
-        "domain_mixture", "pack_sequences", "curate_corpus",
-        "sample_to_budget", "size_quantile_sketch",
-        "bloom_semijoin", "distinct_users_hll",
-        "inverted_index", "tfidf_rank",
+        # round-3 training-data operators rewritten onto keyed_aggregate
+        "dup_passages", "domain_mixture", "pack_sequences", "curate_corpus",
+        "sample_to_budget", "size_quantile_sketch", "distinct_users_hll",
+        "token_stats", "embedding_neardup",
         # block_exchange rewrite: combiner-first aggregate, hash_join's
         # exchange and footer-derived side schemas, build_rollup
         # (flagship_rollup is already required above)
         "word_counts_by_lang", "customers_without_orders",
         "orders_customer_full_join",
+        # keyed_aggregate rewrite: every groupby-aggregate site
+        "validation_accounting", "collection_rollup", "table_stats",
+        "vocab_top_words", "dataset_splits", "source_stats",
+        "lang_distribution", "orders_price_bands", "event_hopping_windows",
+        "mean_confidence_by_provider", "event_type_counts",
+        "collection_size_gate",
     }
     missing = must_be_inside - window
     assert not missing, f"outside the 50-entry driver window: {sorted(missing)}"

@@ -80,14 +80,14 @@ def cmd_rollup(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Slim status/provider tallies of a committed extraction."""
     import ray
-    from ray.data.aggregate import Count
 
     from .checkpoint import load_extracted
+    from .relational import keyed_aggregate
 
     _ray_up(args.num_cpus)
     ds = load_extracted(args.input).select_columns(["status", "provider"])
-    rows = (ds.groupby(["status", "provider"])
-            .aggregate(Count(alias_name="n_docs")).take_all())
+    rows = keyed_aggregate(ds, ["status", "provider"],
+                           [("n_docs", None, "count_all")]).take_all()
     for row in sorted(rows, key=lambda r: (-r["n_docs"],
                                            str(r["status"]),
                                            str(r["provider"]))):

@@ -8,9 +8,9 @@ training-data-pipeline extension the engine needs at 100 TB.
 Scale design — each query is ONE exchange of slim rows, never text, and
 every exchange is ``relational.block_exchange`` over a fixed hash-block
 id (explicit cut points, one kernel call per reduce partition):
-* Exact dedup: content hash + per-block Arrow min-id-per-hash partials,
-  then a fixed hash block of the hash and one Arrow group_by per reduce
-  partition.
+* Exact dedup: content hash, then ``relational.keyed_aggregate``'s min
+  id per hash (per-block partials, one Arrow group_by per reduce
+  partition).
 * MinHash-LSH: signatures per batch (numpy-vectorized), explode to
   (band, band_hash, id, sig) rows, exchange by band_hash % n_blocks —
   equal-(band, band_hash) runs are recovered inside each reduce
@@ -40,7 +40,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Min
 
 from .ann import _normalize as _ann_normalize
 from .ann import vectors_to_matrix
@@ -94,16 +93,12 @@ def _split_words(text: str) -> list[str]:
 def exact_dedup(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
     """Keep the minimum id per exact text hash. Returns (text_hash, doc_id).
 
-    Combiner-first: each block hashes its texts and keeps the min id per
-    hash with one Arrow group_by, so at most one row per (hash, block)
-    shuffles; the partials move by a fixed hash block of the text hash
-    (relational.block_exchange) and fold with one Arrow group_by per
-    reduce partition (relational._keyed_fold)."""
-    from .relational import _blk_str, _keyed_fold, block_exchange
+    Each block hashes its texts; ``relational.keyed_aggregate`` keeps the
+    min id per hash, so at most one row per (hash, block) crosses the
+    exchange."""
+    from .relational import keyed_aggregate
 
-    n_blocks = 64
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def text_hashes(batch: pa.Table) -> pa.Table:
         # NULL text hashes to a sentinel distinct from md5('') — matches the
         # oracle SQL's CASE WHEN text IS NULL THEN '__null__' (DuckDB's bare
         # md5(NULL)=NULL would group differently from empty string)
@@ -111,17 +106,11 @@ def exact_dedup(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> 
             [("__null__" if t is None else _md5(t)) for t in batch[text_col].to_pylist()],
             pa.string(),
         )
-        g = pa.TableGroupBy(pa.table({"text_hash": hashes, id_col: batch[id_col]}),
-                            "text_hash").aggregate([(id_col, "min")])
-        return pa.table({"text_hash": g["text_hash"], id_col: g[f"{id_col}_min"],
-                         "__blk": _blk_str(g["text_hash"], n_blocks)})
+        return pa.table({"text_hash": hashes, id_col: batch[id_col]})
 
-    def fold(group: pa.Table) -> pa.Table:
-        return _keyed_fold(group, ["text_hash"], [(id_col, "min")], [id_col])
-
-    return block_exchange(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "__blk", n_blocks, fold)
+    return keyed_aggregate(
+        ds.map_batches(text_hashes, batch_format="pyarrow", batch_size=None),
+        ["text_hash"], [(id_col, id_col, "min")])
 
 
 # ---------------------------------------------------------------------------
@@ -951,9 +940,11 @@ def embedding_neardup_bucketed(ds: Dataset, threshold: float = 0.95,
         .map_groups(bucket_pairs, batch_format="pyarrow")
     )
     # collapse duplicates found by multiple bands (slim int shuffle);
-    # native Min aggregate — no per-pair UDF, and deterministic where the
-    # per-band matmul chunking could differ in the last float ulp
-    return pairs.groupby(["a", "b"]).aggregate(Min("cos", alias_name="cos"))
+    # keyed min — no per-pair UDF, and deterministic where the per-band
+    # matmul chunking could differ in the last float ulp
+    from .relational import keyed_aggregate
+
+    return keyed_aggregate(pairs, ["a", "b"], [("cos", "cos", "min")])
 
 
 def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Dataset:

@@ -148,18 +148,16 @@ def enforce_total_size_cap(docs: Dataset, cap_bytes: int = 50 * 1024 * 1024) -> 
     reference FileSize.java:6-9; applied before processing,
     BulkDocumentUploadExtractionImpl.java:76-77).
 
-    Slim pre-pass: groupby(collection_id).sum(file_size) — only two small
-    columns shuffle — then the over-cap collection set is broadcast and
+    Slim pre-pass: a keyed sum of file_size per collection_id — only
+    partial rows shuffle — then the over-cap collection set is broadcast and
     every doc in an over-cap collection is marked failed_validation (rows
     retained; partial-success semantics).
     """
-    from ray.data.aggregate import Sum
+    from .relational import keyed_aggregate
 
-    totals = (
-        docs.select_columns(["collection_id", "file_size"])
-        .groupby("collection_id")
-        .aggregate(Sum("file_size", alias_name="total_bytes"))
-    )
+    totals = keyed_aggregate(
+        docs.select_columns(["collection_id", "file_size"]), ["collection_id"],
+        [("total_bytes", "file_size", "sum")])
     over = {
         r["collection_id"]
         for r in totals.map_batches(

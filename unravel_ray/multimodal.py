@@ -122,8 +122,10 @@ class ImageResizeStage:
 
 
 def decode_images(ds: Dataset, backend: str = "fake", blob_col: str = "blob",
-                  batch_size: int = 32, concurrency=2) -> Dataset:
-    """Image decode pipeline entry — small batches, actor pool."""
+                  batch_size: int = 32, concurrency=(1, 2)) -> Dataset:
+    """Image decode pipeline entry — small batches, an actor pool that
+    scales from one actor to two (a one-block input never idles an
+    actor)."""
     return ds.map_batches(
         ImageDecodeStage,
         fn_constructor_kwargs={"backend": backend, "blob_col": blob_col},
@@ -244,13 +246,14 @@ class FrameSampleStage:
         })
 
 
-def extract_audio_features(ds: Dataset, batch_size: int = 16, concurrency=2) -> Dataset:
+def extract_audio_features(ds: Dataset, batch_size: int = 16,
+                           concurrency=(1, 2)) -> Dataset:
     return ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)
 
 
 def sample_frames(ds: Dataset, n_frames: int = 4, batch_size: int = 8,
-                  concurrency=2) -> Dataset:
+                  concurrency=(1, 2)) -> Dataset:
     return ds.map_batches(FrameSampleStage,
                           fn_constructor_kwargs={"n_frames": n_frames},
                           batch_format="pyarrow", batch_size=batch_size,

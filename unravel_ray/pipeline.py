@@ -180,17 +180,14 @@ def extract_publish(docs: Dataset, cfg: PipelineConfig | None = None,
 def build_rollup(extracted: Dataset) -> Dataset:
     """Collection status roll-up (G2, ProcessOcr.java:185-217).
 
-    Combiner-first: each block folds its status indicators into one
-    (count, completed, failed, pending) partial row per collection with an
-    Arrow group_by; the partials move by a fixed hash block of the
-    collection id (relational.block_exchange) and fold with one Arrow
-    group_by per reduce partition — no raw-row shuffle of span payloads.
+    The projection turns each row's status into completed / failed /
+    pending indicators; ``relational.keyed_aggregate`` folds them per
+    collection, so only partial rows cross the exchange — no raw-row
+    shuffle of span payloads.
     """
-    from .relational import _blk_str, _keyed_fold, block_exchange
+    from .relational import keyed_aggregate
 
-    n_blocks = 64
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def indicators(batch: pa.Table) -> pa.Table:
         status = batch["status"]
         completed = pc.cast(pc.equal(status, "completed"), pa.int64())
         failed = pc.cast(
@@ -208,7 +205,7 @@ def build_rollup(extracted: Dataset) -> Dataset:
             ),
             pa.int64(),
         )
-        t = pa.table(
+        return pa.table(
             {
                 "collection_id": batch["collection_id"],
                 "completed": completed,
@@ -216,22 +213,12 @@ def build_rollup(extracted: Dataset) -> Dataset:
                 "pending": pending,
             }
         )
-        g = pa.TableGroupBy(t, "collection_id").aggregate(
-            [([], "count_all"), ("completed", "sum"), ("failed", "sum"),
-             ("pending", "sum")])
-        g = g.rename_columns(["collection_id", "n", "completed", "failed",
-                              "pending"])
-        return g.append_column("__blk", _blk_str(g["collection_id"], n_blocks))
 
-    def fold(group: pa.Table) -> pa.Table:
-        return _keyed_fold(group, ["collection_id"],
-                           [("n", "sum"), ("completed", "sum"),
-                            ("failed", "sum"), ("pending", "sum")],
-                           ["n_docs", "n_completed", "n_failed", "n_pending"])
-
-    agg = block_exchange(
-        extracted.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "__blk", n_blocks, fold)
+    agg = keyed_aggregate(
+        extracted.map_batches(indicators, batch_format="pyarrow", batch_size=None),
+        ["collection_id"],
+        [("n_docs", None, "count_all"), ("n_completed", "completed", "sum"),
+         ("n_failed", "failed", "sum"), ("n_pending", "pending", "sum")])
 
     def decide(batch: pa.Table) -> pa.Table:
         n, comp, fail = batch["n_docs"], batch["n_completed"], batch["n_failed"]

@@ -24,7 +24,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Min, Sum
 
 
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
@@ -58,14 +57,12 @@ def source_stats(sf_dir: str) -> Dataset:
     """Per-source doc count + char total (G1 upload-size sum, G7 grouped KPIs;
     reference DocumentUploadImpl.java:81-82, DashboardMetricsCacheService.java:98-124).
 
-    Scale: tiny shuffle — pre-aggregation happens inside Ray's tree
-    aggregate; only (source, partial) rows move.
+    Scale: tiny shuffle — ``keyed_aggregate`` pre-aggregates each block,
+    so only (source, partial) rows move.
     """
-    return (
-        _pq(sf_dir, "documents", ["source", "n_chars"])
-        .groupby("source")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="total_chars"))
-    )
+    return keyed_aggregate(
+        _pq(sf_dir, "documents", ["source", "n_chars"]), ["source"],
+        [("n_docs", None, "count_all"), ("total_chars", "n_chars", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -75,21 +72,16 @@ def source_stats(sf_dir: str) -> Dataset:
 def lineitem_pricing(sf_dir: str) -> Dataset:
     """Grouped pricing summary with exact integer cents.
 
-    Partial aggregation genuinely happens BEFORE the exchange: each block
-    collapses to at most one row per (returnflag, linestatus) via an
-    Arrow group_by — ~6 rows per block instead of one per lineitem — so
-    the exchange moves a few hundred partial rows, not the table, by a
-    fixed hash block of the returnflag (``block_exchange``; every row of
-    a group shares its returnflag), and one Arrow group_by per reduce
-    partition folds them. (The pre-fix version only slimmed columns; the
-    exchange still moved every row: 3.2-6.6 s -> 2.2-2.5 s same-window
-    A/B at sf0.1/32 CPUs.)
+    The projection derives integer quantity and cents per lineitem;
+    ``keyed_aggregate`` collapses each block to ~6 partial rows per
+    (returnflag, linestatus) before the exchange, so a few hundred
+    partial rows move, not the table. (The pre-combiner version moved
+    every row: 3.2-6.6 s -> 2.2-2.5 s same-window A/B at sf0.1/32 CPUs.)
     """
     ds = _pq(
         sf_dir, "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
-    n_blocks = 64
 
     def derive(batch: pa.Table) -> pa.Table:
         rm = {"round_mode": "half_towards_infinity"}  # DuckDB ROUND parity
@@ -98,7 +90,7 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
         disc_bp = pc.cast(pc.round(pc.multiply(batch["l_discount"], pa.scalar(100.0)), **rm), pa.int64())
         # disc_price_cents = price_cents * (100 - disc_basis_points) — exact ints
         disc_price_c = pc.multiply(price_c, pc.subtract(pa.scalar(100, pa.int64()), disc_bp))
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": batch["l_returnflag"],
                 "l_linestatus": batch["l_linestatus"],
@@ -107,25 +99,13 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
                 "disc_price_c100": disc_price_c,
             }
         )
-        g = pa.TableGroupBy(t, ["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("price_cents", "sum"),
-             ("disc_price_c100", "sum"), ([], "count_all")]
-        )
-        g = g.rename_columns(
-            ["l_returnflag", "l_linestatus", "qty", "price_cents",
-             "disc_price_c100", "n"])
-        return g.append_column("__blk", _blk_str(g["l_returnflag"], n_blocks))
 
-    def fold(group: pa.Table) -> pa.Table:
-        return _keyed_fold(group, ["l_returnflag", "l_linestatus"],
-                           [("qty", "sum"), ("price_cents", "sum"),
-                            ("disc_price_c100", "sum"), ("n", "sum")],
-                           ["sum_qty", "sum_base_cents", "sum_disc_cents100",
-                            "n_rows"])
-
-    agg = block_exchange(
+    agg = keyed_aggregate(
         ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
-        "__blk", n_blocks, fold)
+        ["l_returnflag", "l_linestatus"],
+        [("sum_qty", "qty", "sum"), ("sum_base_cents", "price_cents", "sum"),
+         ("sum_disc_cents100", "disc_price_c100", "sum"),
+         ("n_rows", None, "count_all")])
 
     def finalize(batch: pa.Table) -> pa.Table:
         # exact integer micro-average: (sum*1e6)//n — identical in any engine
@@ -217,57 +197,137 @@ def _blk_str(arr, n_blocks: int) -> pa.Array:
     return pa.array((hash_strings(arr) % np.uint64(n_blocks)).astype(np.int32))
 
 
+def _int_hash(arr) -> np.ndarray:
+    """Multiply-shift uint64 hash of an integer-valued column."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    h = arr.to_numpy(zero_copy_only=False).astype(np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    return h >> np.uint64(33)
+
+
+def _blk_int(arr, n_blocks: int) -> pa.Array:
+    """Fixed hash-block id for an integer key column (multiply-shift)."""
+    return pa.array((_int_hash(arr) % np.uint64(n_blocks)).astype(np.int32))
+
+
+# ---------------------------------------------------------------------------
+# the one keyed aggregate: every groupby-aggregate in the engine
+# ---------------------------------------------------------------------------
+
+AGG_BLOCKS = 64  # fixed block-id space of every keyed aggregate
+_MERGE_FN = {"count_all": "sum", "sum": "sum", "min": "min", "max": "max"}
+
+
+def _key_hash(arr) -> np.ndarray:
+    """uint64 placement hash of one key column: strings and binaries by
+    value (``hashing.hash_strings``), every other type (ints, bools,
+    timestamps) through its int64 image, nulls as 0, and the
+    multiply-shift of ``_blk_int``."""
+    from .hashing import hash_strings
+
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) \
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return hash_strings(arr)
+    return _int_hash(pc.fill_null(pc.cast(arr, pa.int64()), 0))
+
+
+def _keyed_blk(t: pa.Table, keys: list[str], n_blocks: int) -> pa.Array:
+    """Block id of each row: a hash over ALL key columns mod ``n_blocks``,
+    so groups that share a first key still spread over the partitions."""
+    from .hashing import _P, _splitmix
+
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in keys:
+        h = h * _P + _key_hash(t[k])
+    return pa.array((_splitmix(h) % np.uint64(n_blocks)).astype(np.int32))
+
+
+def _agg_named(g: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """Keys, then each aggregate renamed to its ``out_name``; sums as
+    int64 (Arrow sums booleans to uint64)."""
+    vals = [c for n, c in zip(g.column_names, g.columns) if n not in keys]
+    cols = {k: g[k] for k in keys}
+    for (name, _, fn), col in zip(aggs, vals):
+        cols[name] = pc.cast(col, pa.int64()) if fn in ("sum", "count_all") else col
+    return pa.table(cols)
+
+
+def _keyed_partial(batch: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """Per-block partial of ``keyed_aggregate``: one Arrow group_by, then
+    the block id of each partial row in ``__blk``."""
+    spec = [([], "count_all") if fn == "count_all" else (col, fn)
+            for _, col, fn in aggs]
+    cols = list(dict.fromkeys(
+        keys + [col for _, col, fn in aggs if fn != "count_all"]))
+    g = _agg_named(pa.TableGroupBy(batch.select(cols), keys).aggregate(spec),
+                   keys, aggs)
+    return g.append_column("__blk", _keyed_blk(g, keys, AGG_BLOCKS))
+
+
+def _keyed_merge(part: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """Merge of ``keyed_aggregate``: one Arrow group_by over the partials
+    of one reduce partition (count_all and sum partials sum, min and max
+    partials take min and max)."""
+    spec = [(name, _MERGE_FN[fn]) for name, _, fn in aggs]
+    g = pa.TableGroupBy(part.drop_columns(["__blk"]), keys).aggregate(spec)
+    return _agg_named(g, keys, aggs)
+
+
+def keyed_aggregate(ds: Dataset, keys, aggs) -> Dataset:
+    """Grouped aggregate: one output row per distinct ``keys`` tuple with
+    columns keys, then each ``out_name`` of ``aggs``, a list of
+    ``(out_name, column, fn)`` with ``fn`` one of ``count_all`` (column
+    None: rows, nulls included) | ``sum`` | ``min`` | ``max`` (nulls
+    skipped; a group with no value gives null). Sums are int64 (of
+    integer or boolean columns); min and max keep the column's type.
+    Rows come in no particular order.
+
+    Combiner-first over a fixed block-id space: each block collapses to
+    one partial row per local group with an Arrow group_by
+    (``_keyed_partial``, ``batch_size=None`` so it fuses with a caller's
+    whole-block projection), the partial rows move by a hash of all key
+    columns mod ``AGG_BLOCKS`` (``block_exchange``), and one Arrow
+    group_by per reduce partition merges them (``_keyed_merge``). Only
+    partial rows cross the exchange, and no Ray group is made per key.
+
+    Per-group kernels that are not aggregates stay on Ray's
+    ``groupby().map_groups()``: top_docs_per_lang, doc_size_percentiles,
+    sketch.hll_estimate and quantile_sketch's fold, and textstats
+    pack_sequences, domain_mixture's weights, sample_to_budget's select
+    and dedup.embedding_neardup_bucketed's buckets."""
+    def keyed_merge(part: pa.Table) -> pa.Table:
+        return _keyed_merge(part, keys, aggs)
+
+    parts = ds.map_batches(_keyed_partial, fn_kwargs={"keys": keys, "aggs": aggs},
+                           batch_format="pyarrow", batch_size=None)
+    return block_exchange(parts, "__blk", AGG_BLOCKS, keyed_merge)
+
+
 # ---------------------------------------------------------------------------
 # G4 — per-user accounting (events)
 # ---------------------------------------------------------------------------
 
-def _keyed_fold(group: pa.Table, keys: list[str], aggs: list[tuple[str, str]],
-                out_names: list[str]) -> pa.Table:
-    """Shared merge step of the fixed hash-block aggregate family
-    (user_event_totals, event_hourly_windows, lineitem_pricing,
-    word_counts_by_lang, dedup.exact_dedup, pipeline.build_rollup): drop the
-    block key, one Arrow group_by applying each ``(column, function)`` of
-    ``aggs``, emit keys then the results renamed to ``out_names`` (sums
-    cast to int64) — factored so the folds cannot drift (r5 review)."""
-    t = group.drop_columns(["__blk"])
-    g = pa.TableGroupBy(t, keys).aggregate(aggs)
-    cols = {k: g[k] for k in keys}
-    for (c, fn), name in zip(aggs, out_names):
-        col = g[f"{c}_{fn}"]
-        cols[name] = pc.cast(col, pa.int64()) if fn == "sum" else col
-    return pa.table(cols)
-
-
-def user_event_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
+def user_event_totals(sf_dir: str) -> Dataset:
     """Per-user event count + value cents (G4 storage accounting analog,
     DocumentUploadImpl.java:150-161).
 
-    Combiner-first: each block partial-aggregates with a vectorized
-    pyarrow TableGroupBy, so the shuffle moves one row per (user, block)
-    instead of one per event. The merge uses the window family's fixed
-    hash(user) % n_blocks ``block_exchange`` (one Arrow group_by per
-    reduce partition) rather than a Ray range-sort on user_id —
+    ``keyed_aggregate`` over the cents projection: the exchange moves one
+    partial row per (user, block) instead of one per event, by a fixed
+    hash block of the user rather than a Ray range-sort on user_id —
     2.8-3.3 s -> 2.0-2.1 s same-window A/B at sf0.1/32 CPUs."""
     ds = _pq(sf_dir, "events", ["user_id", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        b = _cents(batch, "value", "value_cents")
-        # count_all (row count) matches the oracle's COUNT(*) even with
-        # NULL values; ('value_cents','count') would skip them
-        g = pa.TableGroupBy(b.select(["user_id", "value_cents"]), "user_id").aggregate(
-            [("value_cents", "sum"), ([], "count_all")]
-        )
-        g = g.rename_columns(["user_id", "value_cents", "n"])
-        return g.append_column("__blk", _blk_int(g["user_id"], n_blocks))
+    def cents(batch: pa.Table) -> pa.Table:
+        return _cents(batch, "value", "value_cents").select(["user_id", "value_cents"])
 
-    def fold(group: pa.Table) -> pa.Table:
-        return _keyed_fold(group, ["user_id"],
-                           [("n", "sum"), ("value_cents", "sum")],
-                           ["n_events", "value_cents"])
-
-    return block_exchange(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "__blk", n_blocks, fold)
+    # count_all (row count) matches the oracle's COUNT(*) even with NULL
+    # values; a count of value_cents would skip them
+    return keyed_aggregate(
+        ds.map_batches(cents, batch_format="pyarrow", batch_size=None),
+        ["user_id"],
+        [("n_events", None, "count_all"), ("value_cents", "value_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +747,12 @@ def customers_by_region(sf_dir: str) -> Dataset:
         b = _cents(batch, "c_acctbal", "acctbal_cents")
         return b.append_column("r_name", names)
 
-    return (
+    return keyed_aggregate(
         _pq(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
-        .map_batches(attach, batch_format="pyarrow")
-        .groupby("r_name")
-        .aggregate(Count(alias_name="n_customers"), Sum("acctbal_cents", alias_name="acctbal_cents"))
-    )
+        .map_batches(attach, batch_format="pyarrow"),
+        ["r_name"],
+        [("n_customers", None, "count_all"),
+         ("acctbal_cents", "acctbal_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +783,11 @@ def orders_by_segment(sf_dir: str) -> Dataset:
         b = _cents(batch, "o_totalprice", "price_cents")
         return b.append_column("c_mktsegment", segs)
 
-    return (
+    return keyed_aggregate(
         _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(attach, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(Count(alias_name="n_orders"), Sum("price_cents", alias_name="price_cents"))
-    )
+        .map_batches(attach, batch_format="pyarrow"),
+        ["c_mktsegment"],
+        [("n_orders", None, "count_all"), ("price_cents", "price_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -912,49 +971,37 @@ def first_event_per_user(sf_dir: str) -> Dataset:
 # §2.9 — tumbling-window aggregate over the events stream
 # ---------------------------------------------------------------------------
 
-def event_hourly_windows(sf_dir: str, n_blocks: int = 64) -> Dataset:
+def event_hourly_windows(sf_dir: str) -> Dataset:
     """Per-(user, hour) tumbling-window event counts + value cents.
 
     Ray Data has no watermarks; stream-shaped semantics are expressed as a
-    derived window column + groupby (ordering restored by the window key —
-    the Kafka-partition-ordering analog, OcrEventPublisher.java:24-27).
-    pc.floor_temporal is the vectorized window assigner.
+    derived window column + keyed aggregate (ordering restored by the
+    window key — the Kafka-partition-ordering analog,
+    OcrEventPublisher.java:24-27). pc.floor_temporal is the vectorized
+    window assigner.
 
-    Shuffle shape: per-batch Arrow partials first (at 100 TB each (user,
-    hour) pair repeats many times per batch, so partials collapse the
-    stream), then hash(user) % n_blocks — a FIXED block count, so the
+    Shuffle shape: ``keyed_aggregate`` — per-block Arrow partials first
+    (at 100 TB each (user, hour) pair repeats many times per block, so
+    partials collapse the stream), then a FIXED block count, so the
     exchange sorts one small int key instead of range-partitioning on
-    (string-ish user, timestamp); the final merge is one vectorized Arrow
-    group_by per reduce partition (``block_exchange``). Same shape as
-    the rest of the window family (user_running_totals /
-    user_sliding_window). Measured at sf0.1/32
-    CPUs: 4.6 s (Ray key-sort aggregate) -> 1.9 s in the same window.
+    (user, timestamp). Measured at sf0.1/32 CPUs: 4.6 s (Ray key-sort
+    aggregate) -> 1.9 s in the same window.
     """
     ds = _pq(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def windowize_partial(batch: pa.Table) -> pa.Table:
-        win = pc.floor_temporal(batch["ts"], unit="hour")
+    def windowize(batch: pa.Table) -> pa.Table:
         b = _cents(batch, "value", "value_cents")
-        t = pa.table({
+        return pa.table({
             "user_id": b["user_id"],
-            "window_start": win,
+            "window_start": pc.floor_temporal(batch["ts"], unit="hour"),
             "value_cents": b["value_cents"],
         })
-        g = pa.TableGroupBy(t, ["user_id", "window_start"]).aggregate(
-            [("value_cents", "sum"), ([], "count_all")]  # COUNT(*) parity
-        )
-        g = g.rename_columns(["user_id", "window_start", "value_cents", "n"])
-        return g.append_column("__blk", _blk_int(g["user_id"], n_blocks))
 
-    def fold(group: pa.Table) -> pa.Table:
-        return _keyed_fold(group, ["user_id", "window_start"],
-                           [("n", "sum"), ("value_cents", "sum")],
-                           ["n_events", "value_cents"])
-
-    return block_exchange(
-        ds.map_batches(windowize_partial, batch_format="pyarrow",
-                       batch_size=None),  # whole-block partials
-        "__blk", n_blocks, fold)
+    return keyed_aggregate(
+        ds.map_batches(windowize, batch_format="pyarrow", batch_size=None),
+        ["user_id", "window_start"],
+        [("n_events", None, "count_all"),  # COUNT(*) parity
+         ("value_cents", "value_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -966,36 +1013,23 @@ def word_counts_by_lang(sf_dir: str) -> Dataset:
     OcrResult.java:76-88 getCharacterCount/getWordCount).
 
     Word = whitespace-separated token (Java split("\\\\s+") semantics);
-    vectorized via pyarrow regex count: words = count(\\S+).
-    Combiner-first: each block collapses to one (count, sum, sum, min,
-    max) partial row per lang with an Arrow group_by; the partials move
-    by a fixed hash block of the lang (``block_exchange``) and fold with
-    one Arrow group_by per reduce partition.
+    vectorized via pyarrow regex count: words = count(\\S+). The
+    per-lang count, sums, min and max run through ``keyed_aggregate``.
     """
     ds = _pq(sf_dir, "documents", ["lang", "text", "n_chars"])
-    n_blocks = 64
 
-    def partial(batch: pa.Table) -> pa.Table:
-        words = pc.cast(
+    def words(batch: pa.Table) -> pa.Table:
+        n = pc.cast(
             pc.count_substring_regex(batch["text"], pattern=r"\S+"), pa.int64())
-        t = pa.table({"lang": batch["lang"], "words": words,
-                      "chars": batch["n_chars"]})
-        g = pa.TableGroupBy(t, "lang").aggregate(
-            [([], "count_all"), ("words", "sum"), ("chars", "sum"),
-             ("words", "min"), ("words", "max")])
-        g = g.rename_columns(["lang", "n", "words", "chars", "wmin", "wmax"])
-        return g.append_column("__blk", _blk_str(g["lang"], n_blocks))
+        return pa.table({"lang": batch["lang"], "words": n,
+                         "chars": batch["n_chars"]})
 
-    def fold(group: pa.Table) -> pa.Table:
-        return _keyed_fold(group, ["lang"],
-                           [("n", "sum"), ("words", "sum"), ("chars", "sum"),
-                            ("wmin", "min"), ("wmax", "max")],
-                           ["n_docs", "total_words", "total_chars",
-                            "min_words", "max_words"])
-
-    return block_exchange(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "__blk", n_blocks, fold)
+    return keyed_aggregate(
+        ds.map_batches(words, batch_format="pyarrow", batch_size=None),
+        ["lang"],
+        [("n_docs", None, "count_all"), ("total_words", "words", "sum"),
+         ("total_chars", "chars", "sum"), ("min_words", "words", "min"),
+         ("max_words", "words", "max")])
 
 
 # ---------------------------------------------------------------------------
@@ -1034,9 +1068,8 @@ def validation_accounting(sf_dir: str) -> Dataset:
         )
         return pa.table({"upload_status": status})
 
-    return ds.map_batches(derive, batch_format="pyarrow").groupby("upload_status").aggregate(
-        Count(alias_name="n_files")
-    )
+    return keyed_aggregate(ds.map_batches(derive, batch_format="pyarrow"),
+                           ["upload_status"], [("n_files", None, "count_all")])
 
 
 # ---------------------------------------------------------------------------
@@ -1068,16 +1101,10 @@ def collection_rollup(sf_dir: str) -> Dataset:
             }
         )
 
-    agg = (
-        ds.map_batches(derive, batch_format="pyarrow")
-        .groupby("collection_id")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("completed", alias_name="n_completed"),
-            Sum("failed", alias_name="n_failed"),
-            Sum("pending", alias_name="n_pending"),
-        )
-    )
+    agg = keyed_aggregate(
+        ds.map_batches(derive, batch_format="pyarrow"), ["collection_id"],
+        [("n_docs", None, "count_all"), ("n_completed", "completed", "sum"),
+         ("n_failed", "failed", "sum"), ("n_pending", "pending", "sum")])
 
     def decide(batch: pa.Table) -> pa.Table:
         n, comp, fail = batch["n_docs"], batch["n_completed"], batch["n_failed"]
@@ -1185,11 +1212,9 @@ def mean_confidence_by_provider(sf_dir: str) -> Dataset:
         provider = pc.if_else(is_vision, pa.scalar("vision"), pa.scalar("tesseract"))
         return pa.table({"provider": provider, "conf_bp": conf_bp})
 
-    agg = (
-        ds.map_batches(derive, batch_format="pyarrow")
-        .groupby("provider")
-        .aggregate(Count(alias_name="n_docs"), Sum("conf_bp", alias_name="sum_conf_bp"))
-    )
+    agg = keyed_aggregate(
+        ds.map_batches(derive, batch_format="pyarrow"), ["provider"],
+        [("n_docs", None, "count_all"), ("sum_conf_bp", "conf_bp", "sum")])
 
     def finalize(batch: pa.Table) -> pa.Table:
         # exact integer micros: (sum_bp * 100) // n == mean * 1e6
@@ -1253,12 +1278,11 @@ def top_docs_per_lang(sf_dir: str, k: int = 3) -> Dataset:
 def event_type_counts(sf_dir: str) -> Dataset:
     """Event-type histogram with per-type value cents (grouped KPI)."""
     ds = _pq(sf_dir, "events", ["event_type", "value"])
-    return (
+    return keyed_aggregate(
         ds.map_batches(lambda b: _cents(b, "value", "value_cents").drop_columns(["value"]),
-                       batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Count(alias_name="n_events"), Sum("value_cents", alias_name="value_cents"))
-    )
+                       batch_format="pyarrow"),
+        ["event_type"],
+        [("n_events", None, "count_all"), ("value_cents", "value_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -1278,11 +1302,8 @@ def collection_size_gate(sf_dir: str) -> Dataset:
             "fsize": pc.multiply(batch["n_chars"], pa.scalar(20_000, pa.int64())),
         })
 
-    agg = (
-        ds.map_batches(derive, batch_format="pyarrow")
-        .groupby("collection_id")
-        .aggregate(Sum("fsize", alias_name="total_bytes"))
-    )
+    agg = keyed_aggregate(ds.map_batches(derive, batch_format="pyarrow"),
+                          ["collection_id"], [("total_bytes", "fsize", "sum")])
 
     def gate(batch: pa.Table) -> pa.Table:
         status = pc.if_else(
@@ -1585,17 +1606,13 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
 
 def detect_hot_keys(ds: Dataset, on: str, min_rows: int = 250_000) -> list:
     """Exact per-key row counts above ``min_rows`` — the salting input for
-    hash_join. Combiner-first: per-batch Arrow value-count partials, one
-    slim (key, cnt) shuffle, filter BEFORE collecting — the driver only
-    ever holds the hot set (few keys by definition; a key must exceed
-    min_rows to surface). Pair with table_stats NDV/row estimates to pick
-    min_rows ≈ target_rows_per_bucket."""
-    def partial(batch: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(batch.select([on]), [on]).aggregate([([], "count_all")])
-        return g.rename_columns([on, "cnt"])
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(on).aggregate(Sum("cnt", alias_name="cnt")))
+    hash_join. A slim ``keyed_aggregate`` row count per key, filtered
+    BEFORE collecting — the driver only ever holds the hot set (few keys
+    by definition; a key must exceed min_rows to surface). Pair with
+    table_stats NDV/row estimates to pick min_rows ≈
+    target_rows_per_bucket."""
+    agg = keyed_aggregate(ds.select_columns([on]), [on],
+                          [("cnt", None, "count_all")])
     hot = agg.map_batches(
         lambda t: t.filter(pc.greater_equal(t["cnt"], min_rows)),
         batch_format="pyarrow")
@@ -1696,8 +1713,7 @@ def event_hopping_windows(sf_dir: str, size_min: int = 60,
 
     Shape: vectorized expansion (each batch row repeated size/hop times
     with arithmetic window starts — no per-row Python), then the same
-    combiner-first pattern as the tumbling windows: per-batch
-    TableGroupBy partials, slim grouped sum shuffle.
+    ``keyed_aggregate`` as the tumbling windows.
     """
     size_us = size_min * 60 * 1_000_000
     hop_us = hop_min * 60 * 1_000_000
@@ -1716,22 +1732,16 @@ def event_hopping_windows(sf_dir: str, size_min: int = 60,
         starts = pc.subtract(pc.take(base, idx), offs)
         # every event is in exactly `reps` windows: start <= ts < start+size
         # holds for all j in [0, reps) by hop alignment — no filter needed
-        expanded = pa.table({
+        return pa.table({
             "user_id": pc.take(b["user_id"], idx),
             "window_start_us": starts,
             "value_cents": pc.take(b["value_cents"], idx),
         })
-        g = pa.TableGroupBy(expanded, ["user_id", "window_start_us"]).aggregate(
-            [("value_cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(["user_id", "window_start_us", "value_cents", "n"])
 
-    return (
-        ds.map_batches(expand, batch_format="pyarrow")
-        .groupby(["user_id", "window_start_us"])
-        .aggregate(Sum("n", alias_name="n_events"),
-                   Sum("value_cents", alias_name="value_cents"))
-    )
+    return keyed_aggregate(
+        ds.map_batches(expand, batch_format="pyarrow"),
+        ["user_id", "window_start_us"],
+        [("n_events", None, "count_all"), ("value_cents", "value_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -1885,23 +1895,15 @@ def _purchase_click_sides(sf_dir: str):
                 .select(["event_id", "user_id", "ts"])
         return fn
 
-    def dedupe_clicks(batch: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(batch, ["user_id", "ts"]).aggregate([("event_id", "max")])
-        return g.rename_columns(["user_id", "ts", "event_id"])
-
     ev = _pq(sf_dir, "events", cols)
     purchases = ev.map_batches(pick("purchase"), batch_format="pyarrow")
-    # partial per-batch dedupe, exact dedupe inside the co-group via the
-    # same max rule applied by asof (identical (user, ts) rows collapse)
-    clicks_u = (
-        ev.map_batches(pick("click"), batch_format="pyarrow")
-        .map_batches(dedupe_clicks, batch_format="pyarrow")
-        .groupby(["user_id", "ts"])
-        .aggregate(Max("event_id", alias_name="event_id"))
-    )
+    # one click per (user, ts): the max event_id
+    clicks_u = keyed_aggregate(
+        ev.map_batches(pick("click"), batch_format="pyarrow"),
+        ["user_id", "ts"], [("event_id", "event_id", "max")])
     empty = pq.read_schema(f"{sf_dir}/events.parquet").empty_table().select(cols)
     schemas = (pick("purchase")(empty).schema,
-               dedupe_clicks(pick("click")(empty)).schema)
+               pick("click")(empty).select(["user_id", "ts", "event_id"]).schema)
     return purchases, clicks_u, schemas
 
 
@@ -1983,20 +1985,13 @@ def orders_price_bands(sf_dir: str) -> Dataset:
     ds = _pq(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     joined = range_join(ds, PRICE_BANDS, value_col="o_totalprice")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        b = _cents(batch, "o_totalprice", "price_cents")
-        g = pa.TableGroupBy(b.select(["price_band", "price_cents"]),
-                            "price_band").aggregate(
-            [("price_cents", "sum"), ([], "count_all")]
-        )
-        return g.rename_columns(["price_band", "price_cents", "n"])
+    def cents(batch: pa.Table) -> pa.Table:
+        return _cents(batch, "o_totalprice", "price_cents") \
+            .select(["price_band", "price_cents"])
 
-    return (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("price_band")
-        .aggregate(Sum("n", alias_name="n_orders"),
-                   Sum("price_cents", alias_name="price_cents"))
-    )
+    return keyed_aggregate(
+        joined.map_batches(cents, batch_format="pyarrow"), ["price_band"],
+        [("n_orders", None, "count_all"), ("price_cents", "price_cents", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -2070,15 +2065,6 @@ def _user_block_runs(group: pa.Table):
     return g, csum, run_start
 
 
-def _blk_int(arr, n_blocks: int) -> pa.Array:
-    """Fixed hash-block id for an integer key column (multiply-shift)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    h = arr.to_numpy(zero_copy_only=False).astype(np.uint64) \
-        * np.uint64(0x9E3779B97F4A7C15)
-    return pa.array(((h >> np.uint64(33)) % n_blocks).astype(np.int32))
-
-
 def user_running_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
     """Per-user running value total in (ts, event_id) order — the
     window-function shape (SUM() OVER (PARTITION BY user ORDER BY ts)).
@@ -2147,12 +2133,12 @@ def event_props_stats(sf_dir: str) -> Dataset:
     regex-extractable, so the hot path is one RE2 pc.extract_regex pass
     (VERDICT r4 item 7); rows the regex misses (arbitrary JSON) fall back
     to per-row json.loads — zero rows on well-formed corpora. The
-    aggregate stays combiner-first so only (type, partial) rows shuffle."""
+    ``keyed_aggregate`` moves only (type, partial) rows."""
     import json as _json
 
     ds = _pq(sf_dir, "events", ["event_type", "props"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def parse_k(batch: pa.Table) -> pa.Table:
         props = pc.fill_null(batch["props"], "")
         # integer grammar matches JSON exactly (no leading zeros): a
         # '{"k": 007}' row must fall through to json.loads and be
@@ -2174,18 +2160,12 @@ def event_props_stats(sf_dir: str) -> Dataset:
                 kl[int(i)] = v if isinstance(v, int) else None
             k = pa.array(kl, pa.int64())
         t = pa.table({"event_type": batch["event_type"], "k": k})
-        t = t.filter(pc.is_valid(t["k"]))
-        g = pa.TableGroupBy(t, "event_type").aggregate(
-            [("k", "sum"), ("k", "max"), ([], "count_all")])
-        return g.rename_columns(["event_type", "k_sum", "k_max", "n"])
+        return t.filter(pc.is_valid(t["k"]))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n_events"),
-                   Sum("k_sum", alias_name="k_total"),
-                   Max("k_max", alias_name="k_max"))
-    )
+    return keyed_aggregate(
+        ds.map_batches(parse_k, batch_format="pyarrow"), ["event_type"],
+        [("n_events", None, "count_all"), ("k_total", "k", "sum"),
+         ("k_max", "k", "max")])
 
 
 # ---------------------------------------------------------------------------
@@ -2247,8 +2227,8 @@ def storage_reconcile(sf_dir: str, team_region: str = "ASIA") -> Dataset:
     conditional routing the reference reads from team_members), team id
     = nation name.
 
-    Scale shape: orders pre-aggregate per batch before ONE slim
-    groupby(custkey) sum; the customer side joins through the bucketed
+    Scale shape: orders reduce to one slim ``keyed_aggregate`` sum per
+    custkey; the customer side joins through the bucketed
     ``hash_join`` (no broadcast of the big side); nation->region routing
     is a genuinely tiny dimension broadcast via ``ray.put``. Output:
     (scope, entity, storage_used_cents, n_members, drifted).
@@ -2258,19 +2238,14 @@ def storage_reconcile(sf_dir: str, team_region: str = "ASIA") -> Dataset:
 
     orders = _pq(sf_dir, "orders", ["o_custkey", "o_orderstatus", "o_totalprice"])
 
-    def order_partials(batch: pa.Table) -> pa.Table:
+    def success_cents(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["o_orderstatus"], "F"))
         b = _cents(b, "o_totalprice", "cents")
-        agg = pa.table({
-            "c_custkey": b["o_custkey"], "cents": b["cents"],
-        }).group_by("c_custkey").aggregate([("cents", "sum")])
-        return agg.rename_columns(["c_custkey", "cents"])
+        return pa.table({"c_custkey": b["o_custkey"], "cents": b["cents"]})
 
-    recomputed = (
-        orders.map_batches(order_partials, batch_format="pyarrow")
-        .groupby("c_custkey")
-        .aggregate(Sum("cents", alias_name="used_cents"))
-    )
+    recomputed = keyed_aggregate(
+        orders.map_batches(success_cents, batch_format="pyarrow"),
+        ["c_custkey"], [("used_cents", "cents", "sum")])
 
     customers = _pq(sf_dir, "customer", ["c_custkey", "c_acctbal", "c_nationkey"])
 
@@ -2319,36 +2294,28 @@ def storage_reconcile(sf_dir: str, team_region: str = "ASIA") -> Dataset:
                 pa.array(~in_team)),
             "storage_used_cents": pc.cast(used.filter(pa.array(~in_team)),
                                           pa.int64()),
-            "n_members": pa.array(np.ones(n_users, np.int64)),
             "drifted": pa.array(drift[~in_team], pa.int64()),
         })
-        # team partials pre-aggregated per batch: the grouped shuffle
-        # carries one slim row per (team, batch), never per member;
-        # drifted=1 mirrors teamsUpdated counting every team (:112)
+        # one row per team member; drifted=1 mirrors teamsUpdated
+        # counting every team (:112)
         n_team = int(in_team.sum())
         tm = pa.table({
             "scope": pa.array(["team"] * n_team, pa.string()),
             "entity": teams_arr.filter(pa.array(in_team)),
             "storage_used_cents": pc.cast(used.filter(pa.array(in_team)),
                                           pa.int64()),
-            "n_members": pa.array(np.ones(n_team, np.int64)),
             "drifted": pa.array(np.ones(n_team, np.int64)),
-        }).group_by(["scope", "entity"]).aggregate(
-            [("storage_used_cents", "sum"), ("n_members", "sum"),
-             ("drifted", "max")]).rename_columns(
-            ["scope", "entity", "storage_used_cents", "n_members", "drifted"])
+        })
         return pa.concat_tables([users, tm])
 
-    # one slim grouped fold finishes both scopes: user rows have unique
-    # (scope, entity) so the Sums are identity; team partials sum up and
-    # Max keeps drifted at 1 — no scope ever co-locates in one task
-    return (
-        joined.map_batches(reconcile, batch_format="pyarrow")
-        .groupby(["scope", "entity"])
-        .aggregate(Sum("storage_used_cents", alias_name="storage_used_cents"),
-                   Sum("n_members", alias_name="n_members"),
-                   Max("drifted", alias_name="drifted"))
-    )
+    # one keyed aggregate finishes both scopes: user rows have unique
+    # (scope, entity) so the sums are identity; team members sum up and
+    # max keeps drifted at 1 — no scope ever co-locates in one task
+    return keyed_aggregate(
+        joined.map_batches(reconcile, batch_format="pyarrow"),
+        ["scope", "entity"],
+        [("storage_used_cents", "storage_used_cents", "sum"),
+         ("n_members", None, "count_all"), ("drifted", "drifted", "max")])
 
 
 # ---------------------------------------------------------------------------
@@ -2362,13 +2329,13 @@ def table_stats(sf_dir: str, table: str = "orders",
     (e.g. derive_join_buckets' row estimates and broadcast-vs-bucket
     decisions).
 
-    Combiner-first end to end: each batch folds every column to ONE slim
-    partial row (min/max/null count via Arrow kernels) plus its DISTINCT
-    (column, value) pairs; the only wide op is the distinct-pair groupby
-    — the unavoidable exact-NDV shuffle, which at corpus scale degrades
-    to the mergeable HLL register sketch (sketch.hll_registers, same
-    output contract, ±6.5%). Values never leave as raw rows: the shuffle
-    carries one row per distinct (column, value).
+    One projection melts the table to slim (column, v) rows; three
+    ``keyed_aggregate`` calls fold them: per column min, max and nulls,
+    the distinct (column, v) pairs — the unavoidable exact-NDV shuffle,
+    which at corpus scale degrades to the mergeable HLL register sketch
+    (sketch.hll_registers, same output contract, ±6.5%) — and the pair
+    count per column. Each block moves one partial row per distinct
+    (column, value), never raw rows.
 
     Contract note (ADVICE r3): the NDV branch executes EAGERLY at
     graph-construction time (take_all over one row per column — bounded
@@ -2377,58 +2344,22 @@ def table_stats(sf_dir: str, table: str = "orders",
     """
     ds = _pq(sf_dir, table, list(int_cols))
 
-    def partials(batch: pa.Table) -> pa.Table:
-        rows = {"column": [], "min_v": [], "max_v": [], "n_nulls": [],
-                "n_rows": []}
-        for c in int_cols:
-            col = batch[c]
-            mm = pc.min_max(col)
-            rows["column"].append(c)
-            rows["min_v"].append(mm["min"].as_py())
-            rows["max_v"].append(mm["max"].as_py())
-            rows["n_nulls"].append(col.null_count)
-            rows["n_rows"].append(batch.num_rows)
-        return pa.table({
-            "column": pa.array(rows["column"], pa.string()),
-            "min_v": pa.array(rows["min_v"], pa.int64()),
-            "max_v": pa.array(rows["max_v"], pa.int64()),
-            "n_nulls": pa.array(rows["n_nulls"], pa.int64()),
-            "n_rows": pa.array(rows["n_rows"], pa.int64()),
-        })
+    def melt(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([pa.table({
+            "column": pa.array([c] * batch.num_rows, pa.string()),
+            "v": pc.cast(batch[c], pa.int64()),
+            "is_null": pc.is_null(batch[c]),
+        }) for c in int_cols])
 
-    agg = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("column")
-        .aggregate(Min("min_v", alias_name="min_v"),
-                   Max("max_v", alias_name="max_v"),
-                   Sum("n_nulls", alias_name="n_nulls"),
-                   Sum("n_rows", alias_name="n_rows"))
-    )
-
-    def distinct_pairs(batch: pa.Table) -> pa.Table:
-        parts = []
-        for c in int_cols:
-            u = pc.unique(batch[c].combine_chunks())
-            u = u.drop_null()
-            parts.append(pa.table({
-                "column": pa.array([c] * len(u), pa.string()),
-                "v": pc.cast(u, pa.int64()),
-            }))
-        return pa.concat_tables(parts)
-
-    ndv = (
-        ds.map_batches(distinct_pairs, batch_format="pyarrow")
-        .groupby(["column", "v"])
-        .aggregate(Count(alias_name="_c"))
-        .map_batches(
-            lambda t: pa.table({
-                "column": t["column"],
-                "n_distinct_part": pa.array(
-                    np.ones(t.num_rows, np.int64)),
-            }), batch_format="pyarrow")
-        .groupby("column")
-        .aggregate(Sum("n_distinct_part", alias_name="n_distinct"))
-    )
+    melted = ds.map_batches(melt, batch_format="pyarrow")
+    agg = keyed_aggregate(
+        melted, ["column"],
+        [("min_v", "v", "min"), ("max_v", "v", "max"),
+         ("n_nulls", "is_null", "sum")])
+    valued = melted.map_batches(lambda t: t.filter(pc.is_valid(t["v"])),
+                                batch_format="pyarrow")
+    pairs = keyed_aggregate(valued, ["column", "v"], [("n", None, "count_all")])
+    ndv = keyed_aggregate(pairs, ["column"], [("n_distinct", None, "count_all")])
 
     # final merge: both sides have exactly one row per column — bounded
     # by the TABLE WIDTH, not the data — so a broadcast dict beats a
@@ -2443,6 +2374,6 @@ def table_stats(sf_dir: str, table: str = "orders",
             "n_distinct",
             pa.array([m.get(c, 0) for c in t["column"].to_pylist()],
                      pa.int64()),
-        ).drop_columns(["n_rows"])
+        )
 
     return agg.map_batches(finish, batch_format="pyarrow")

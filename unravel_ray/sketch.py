@@ -37,7 +37,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Max, Sum
 
 N_BUCKETS = 256
 RANK_CAP = 48  # bits; 256 * 2^48 = 2^56 fits int64 exactly
@@ -69,10 +68,11 @@ def _rank_of(hexdigest: str) -> int:
 
 def _registers_partial(batch: pa.Table, group_col: str,
                        value_col: str) -> pa.Table:
-    """Per-batch partial registers: <= groups x 256 slim rows leave the
-    batch — the combiner that makes the groupby shuffle cardinality-free.
-    sha256 runs once per DISTINCT (group, value) pair in the batch (the
-    corpus determinism bridge is sha256 throughout; see synth.py)."""
+    """Per-batch (g, bucket, rank) rows, one per DISTINCT (group, value)
+    pair in the batch, so sha256 runs once per pair (the corpus
+    determinism bridge is sha256 throughout; see synth.py); the keyed
+    max in ``hll_registers`` collapses them to <= groups x 256 rows per
+    block before the exchange."""
     t = pa.table({
         "g": batch[group_col],
         "v": pc.cast(batch[value_col], pa.string()),
@@ -85,26 +85,24 @@ def _registers_partial(batch: pa.Table, group_col: str,
         h = hashlib.sha256(s.encode()).hexdigest()
         buckets[i] = int(h[:2], 16)
         ranks[i] = _rank_of(h)
-    part = pa.table({
+    return pa.table({
         "g": distinct["g"],
         "bucket": pa.array(buckets),
         "rank": pa.array(ranks),
     })
-    agg = part.group_by(["g", "bucket"]).aggregate([("rank", "max")])
-    return agg.rename_columns(["g", "bucket", "rank"])
 
 
 def hll_registers(ds: Dataset, value_col: str, group_col: str) -> Dataset:
     """Grouped register sketch: Dataset of (g, bucket, rank) — at most
-    256 rows per group after the slim 3-int-column shuffle."""
-    return (
+    256 rows per group, merged with a keyed max."""
+    from .relational import keyed_aggregate
+
+    return keyed_aggregate(
         ds.map_batches(
             lambda b: _registers_partial(b, group_col, value_col),
             batch_format="pyarrow",
-        )
-        .groupby(["g", "bucket"])
-        .aggregate(Max("rank", alias_name="rank"))
-    )
+        ),
+        ["g", "bucket"], [("rank", "rank", "max")])
 
 
 def hll_estimate(ds: Dataset, value_col: str, group_col: str) -> pa.Table:
@@ -138,35 +136,21 @@ def hll_estimate(ds: Dataset, value_col: str, group_col: str) -> pa.Table:
 
 
 def exact_distinct_by(ds: Dataset, value_col: str, group_col: str) -> pa.Table:
-    """Exact per-group distinct count, combiner-first: per-batch distinct
-    (g, v) pairs -> global pair dedupe (the unavoidable full-cardinality
-    shuffle the sketch exists to amortize) -> per-batch group counts ->
-    slim grouped sum. Returns (g, exact_distinct)."""
+    """Exact per-group distinct count: a keyed count over distinct (g, v)
+    pairs (the unavoidable full-cardinality shuffle the sketch exists to
+    amortize), then a keyed count of pairs per group. Returns
+    (g, exact_distinct)."""
+    from .relational import keyed_aggregate
 
     def pairs(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "g": batch[group_col],
             "v": pc.cast(batch[value_col], pa.string()),
         })
-        return t.group_by(["g", "v"]).aggregate([])
 
-    def group_counts(batch: pa.Table) -> pa.Table:
-        vc = batch["g"].value_counts()
-        return pa.table({"g": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
-
-    from ray.data.aggregate import Count
-
-    uniq = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby(["g", "v"])
-        .aggregate(Count(alias_name="_c"))
-    )
-    counted = (
-        uniq.map_batches(group_counts, batch_format="pyarrow")
-        .groupby("g")
-        .aggregate(Sum("n", alias_name="exact_distinct"))
-    )
+    uniq = keyed_aggregate(ds.map_batches(pairs, batch_format="pyarrow"),
+                           ["g", "v"], [("_c", None, "count_all")])
+    counted = keyed_aggregate(uniq, ["g"], [("exact_distinct", None, "count_all")])
     rows = counted.take_all()
     out = pa.Table.from_pylist(rows, schema=pa.schema([
         ("g", pa.string()), ("exact_distinct", pa.int64())]))
@@ -235,20 +219,17 @@ def quantile_sketch(ds: Dataset, value_col: str, group_col: str,
     relative error by construction).
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
+    from .relational import keyed_aggregate
+
+    def bucketize(batch: pa.Table) -> pa.Table:
         v = batch[value_col].combine_chunks().to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "g": batch[group_col],
             "bucket": pa.array(quantile_bucket(v), pa.int64()),
         })
-        agg = t.group_by(["g", "bucket"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["g", "bucket", "cnt"])
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["g", "bucket"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    hist = keyed_aggregate(ds.map_batches(bucketize, batch_format="pyarrow"),
+                           ["g", "bucket"], [("cnt", None, "count_all")])
 
     def fold(group: pa.Table) -> pa.Table:
         g = group.sort_by([("bucket", "ascending")])
@@ -284,7 +265,7 @@ def heavy_hitter_words(ds: Dataset, min_count: int, k: int = 512,
     (Arrow value_counts), then MG-compacts to <= k counters by
     subtracting the (k+1)-th largest count and dropping non-positives;
     the subtracted offset is emitted as a marker row. Counter sums merge
-    itemwise in one slim groupby — the classic mergeable-summary
+    itemwise in one keyed sum — the classic mergeable-summary
     property — and any word with true count >= min_count retains a
     merged count >= min_count - off_total, so filtering the merged
     sketch at that bound yields a certified-complete candidate set.
@@ -294,8 +275,8 @@ def heavy_hitter_words(ds: Dataset, min_count: int, k: int = 512,
     certify completeness for this corpus/threshold — grow k).
 
     Phase 2 (verify): candidates broadcast once via ray.put; a second
-    tokenize pass keeps only candidate words (vectorized is_in),
-    combiner-first counts them exactly, and the final filter applies
+    tokenize pass keeps only candidate words (vectorized is_in), a keyed
+    count counts them exactly, and the final filter applies
     min_count to TRUE counts — false positives from phase 1 drop out,
     so the result is hash-identical to SQL GROUP BY/HAVING.
 
@@ -305,6 +286,8 @@ def heavy_hitter_words(ds: Dataset, min_count: int, k: int = 512,
     family as decontaminate's eval set).
     """
     import ray
+
+    from .relational import keyed_aggregate
 
     def tokenize(batch: pa.Table) -> pa.Array:
         words = pc.list_flatten(pc.split_pattern_regex(
@@ -339,12 +322,9 @@ def heavy_hitter_words(ds: Dataset, min_count: int, k: int = 512,
     # materialized ONCE: the merged sketch is slim (word, cnt) rows,
     # bounded by k x input blocks, and is read twice below (offset row,
     # then the distributed candidate filter)
-    merged = (
-        ds.map_batches(mg_partial, batch_format="pyarrow")
-        .groupby(["word", "is_marker"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .materialize()
-    )
+    merged = keyed_aggregate(ds.map_batches(mg_partial, batch_format="pyarrow"),
+                             ["word", "is_marker"],
+                             [("cnt", "cnt", "sum")]).materialize()
 
     def pick_off(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t["is_marker"], 1))
@@ -368,20 +348,15 @@ def heavy_hitter_words(ds: Dataset, min_count: int, k: int = 512,
             survivors, batch_format="pyarrow").take_all()], pa.string())
     cand_ref = ray.put(cand_words)
 
-    def recount(batch: pa.Table) -> pa.Table:
+    def candidates(batch: pa.Table) -> pa.Table:
         wanted = ray.get(cand_ref)
         words = tokenize(batch)
-        words = words.filter(pc.is_in(words, value_set=wanted))
-        vc = words.value_counts()
-        return pa.table({"word": vc.field("values"),
-                         "cnt": pc.cast(vc.field("counts"), pa.int64())})
+        return pa.table({"word": words.filter(pc.is_in(words, value_set=wanted))})
 
     def apply_min(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t["n_occurrences"], min_count))
 
-    return (
-        ds.map_batches(recount, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="n_occurrences"))
-        .map_batches(apply_min, batch_format="pyarrow")
-    )
+    return keyed_aggregate(
+        ds.map_batches(candidates, batch_format="pyarrow"), ["word"],
+        [("n_occurrences", None, "count_all")],
+    ).map_batches(apply_min, batch_format="pyarrow")

@@ -17,7 +17,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Sum
 
 # Tiny deterministic stopword profiles — enough for a frequency heuristic.
 STOPWORDS = {
@@ -249,13 +248,13 @@ def fingerprints(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") ->
 
 def lang_distribution(ds: Dataset, text_col: str = "text", concurrency=2) -> Dataset:
     """Detected-language histogram over a corpus (actor-pool stage + tiny
-    grouped count)."""
-    return (
+    keyed count)."""
+    from .relational import keyed_aggregate
+
+    return keyed_aggregate(
         ds.map_batches(LangIdStage, fn_constructor_kwargs={"text_col": text_col},
-                       batch_format="pyarrow", concurrency=concurrency)
-        .groupby("lang_detected")
-        .aggregate(Count(alias_name="n_docs"))
-    )
+                       batch_format="pyarrow", concurrency=concurrency),
+        ["lang_detected"], [("n_docs", None, "count_all")])
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def pack_sequences(ds: Dataset, seq_len: int = 2048,
     (id, n_tokens, pack_id, pack_offset).
 
     Scale shape — a GLOBAL running sum without a global sort: docs bucket
-    into fixed ``seg_size`` id segments; a slim groupby yields per-segment
+    into fixed ``seg_size`` id segments; a keyed sum yields per-segment
     token totals; the driver folds those into per-segment prefix offsets
     and broadcasts them; each segment group (bounded, co-located,
     skew-free by construction) then computes its local cumsum + prefix.
@@ -321,7 +320,7 @@ def pack_sequences(ds: Dataset, seq_len: int = 2048,
     """
     import ray
 
-    from .relational import _estimated_rows
+    from .relational import _estimated_rows, keyed_aggregate
 
     if seg_size is None:
         est = _estimated_rows(ds)
@@ -337,10 +336,8 @@ def pack_sequences(ds: Dataset, seq_len: int = 2048,
 
     with_tok = ds.map_batches(tokens, batch_format="pyarrow").materialize()
 
-    seg_sums = (with_tok.select_columns(["segment", "n_tokens"])
-                .groupby("segment")
-                .aggregate(Sum("n_tokens", alias_name="seg_tokens"))
-                .take_all())
+    seg_sums = keyed_aggregate(with_tok, ["segment"],
+                               [("seg_tokens", "n_tokens", "sum")]).take_all()
     seg_sums.sort(key=lambda r: r["segment"])
     prefix: dict[int, int] = {}
     acc = 0
@@ -376,26 +373,21 @@ def vocab_top_words(ds: Dataset, k: int = 50,
     """Global top-k corpus vocabulary: (word, n_occurrences), ranked
     (count DESC, word ASC).
 
-    Combiner-first end to end: per-batch Arrow value_counts partials
-    (words never leave the batch un-aggregated), a slim
-    groupby(word).sum shuffle, then per-batch partial top-k so the
+    Combiner-first end to end: a keyed count per word (words never
+    leave a block un-aggregated), then per-batch partial top-k so the
     driver merge sees at most (#batches x k) rows — never the
     vocabulary, never the corpus.
     """
+    from .relational import keyed_aggregate
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def split_words(batch: pa.Table) -> pa.Table:
         words = pc.list_flatten(pc.split_pattern_regex(
             pc.utf8_lower(pc.fill_null(batch[text_col], "")), r"\s+"))
-        words = words.filter(pc.not_equal(words, ""))
-        vc = words.value_counts()
-        return pa.table({"word": vc.field("values"),
-                         "cnt": pc.cast(vc.field("counts"), pa.int64())})
+        return pa.table({"word": words.filter(pc.not_equal(words, ""))})
 
-    summed = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="n_occurrences"))
-    )
+    summed = keyed_aggregate(
+        ds.map_batches(split_words, batch_format="pyarrow", batch_size=None),
+        ["word"], [("n_occurrences", None, "count_all")])
 
     def local_topk(batch: pa.Table) -> pa.Table:
         idx = pc.sort_indices(batch, sort_keys=[
@@ -439,19 +431,13 @@ def assign_splits(ds: Dataset, id_col: str = "doc_id") -> Dataset:
 
 def split_accounting(ds: Dataset, id_col: str = "doc_id") -> Dataset:
     """Per-(split, lang) doc count + char total — the stratification
-    report for a train/val/test split. Slim grouped sum after the
+    report for a train/val/test split. A keyed count and sum after the
     map-side assignment."""
-    assigned = assign_splits(ds, id_col=id_col)
+    from .relational import keyed_aggregate
 
-    def slim(batch: pa.Table) -> pa.Table:
-        return batch.select(["split", "lang", "n_chars"])
-
-    return (
-        assigned.map_batches(slim, batch_format="pyarrow")
-        .groupby(["split", "lang"])
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("n_chars", alias_name="total_chars"))
-    )
+    return keyed_aggregate(
+        assign_splits(ds, id_col=id_col), ["split", "lang"],
+        [("n_docs", None, "count_all"), ("total_chars", "n_chars", "sum")])
 
 
 def inverted_index(ds: Dataset, min_df: int = 1, n_blocks: int = 64,
@@ -761,8 +747,8 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
          DOCS containing the gram (not raw occurrences), the hot-phrase
          skew bound;
       3. per-doc window totals (computed batch-locally in pass 1) union
-         the duplicate partials and fold in ONE native `groupby(doc_id)`
-         Sum (no per-doc UDF).
+         the duplicate partials and fold in ONE `relational.keyed_aggregate`
+         sum per doc (no per-doc UDF).
 
     At 100 TB the gram strings would be 64-bit-hashed before the shuffle
     (same universal-hash treatment as the MinHash family); kept verbatim
@@ -772,7 +758,7 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
     integer micro-ratio of removable windows).
     """
 
-    from .relational import _blk_str, block_exchange
+    from .relational import _blk_str, block_exchange, keyed_aggregate
 
     def occurrences(batch: pa.Table) -> pa.Table:
         _, flat, parent = _flat_words(batch[text_col])
@@ -846,13 +832,11 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
                                         pa.int64()),
         })
 
-    return (
-        tot.union(dup)
-        .groupby(id_col)
-        .aggregate(Sum("n_windows", alias_name="n_windows"),
-                   Sum("n_dup_windows", alias_name="n_dup_windows"))
-        .map_batches(ratio, batch_format="pyarrow")
-    )
+    return keyed_aggregate(
+        tot.union(dup), [id_col],
+        [("n_windows", "n_windows", "sum"),
+         ("n_dup_windows", "n_dup_windows", "sum")],
+    ).map_batches(ratio, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +851,10 @@ def domain_mixture(ds: Dataset, source_col: str = "source",
     upweight small high-quality domains — the temperature trick of
     multilingual/multi-corpus sampling).
 
-    Combiner-first end to end: each batch folds to (source, n_docs,
-    n_tokens) partials via Arrow group_by (tokens = whitespace words of
-    lower(text), the corpus-wide convention); ONE slim groupby(source)
-    sums partials; the final weight normalization runs inside a single
+    Combiner-first end to end: ONE ``relational.keyed_aggregate`` folds
+    per-doc token counts (tokens = whitespace words of lower(text), the
+    corpus-wide convention) to (source, n_docs, n_tokens); the final
+    weight normalization runs inside a single
     map_groups task over the per-source table (bounded by the domain
     count — domains are inherently few; zero driver state).
 
@@ -881,15 +865,15 @@ def domain_mixture(ds: Dataset, source_col: str = "source",
     bit at any count below 2^52.
     """
 
-    def partials(batch: pa.Table) -> pa.Table:
+    from .relational import keyed_aggregate
+
+    def doc_tokens(batch: pa.Table) -> pa.Table:
         _, _, parent = _flat_words(batch[text_col])
         n_words = np.bincount(parent, minlength=batch.num_rows).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "source": batch[source_col],
-            "n_docs": pa.array(np.ones(batch.num_rows, np.int64)),
             "n_tokens": pa.array(n_words, pa.int64()),
-        }).group_by("source").aggregate([("n_docs", "sum"), ("n_tokens", "sum")])
-        return t.rename_columns(["source", "n_docs", "n_tokens"])
+        })
 
     def weights(group: pa.Table) -> pa.Table:
         nd = group["n_docs"].combine_chunks().to_numpy()
@@ -905,13 +889,9 @@ def domain_mixture(ds: Dataset, source_col: str = "source",
                                       pa.int64()),
         })
 
-    agg = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="nd"), Sum("n_tokens", alias_name="nt"))
-        .map_batches(lambda b: b.rename_columns(["source", "n_docs", "n_tokens"]),
-                     batch_format="pyarrow")
-    )
+    agg = keyed_aggregate(
+        ds.map_batches(doc_tokens, batch_format="pyarrow"), ["source"],
+        [("n_docs", None, "count_all"), ("n_tokens", "n_tokens", "sum")])
     return agg.map_batches(
         lambda b: b.append_column("_k", pa.array([0] * b.num_rows, pa.int64())),
         batch_format="pyarrow",
@@ -937,8 +917,8 @@ def curate_corpus(ds: Dataset, text_col: str = "text",
         md5) before anything shuffles — the full text never leaves the
         scoring stage;
       * assign_splits: pure map (sha256 gate, corpus-growth invariant);
-      * groupby(text_hash) keep-first: the only wide op, over slim rows;
-      * final grouped count/sum: combiner-first by construction.
+      * text_hash keep-first: the only wide op, over slim rows;
+      * final ``relational.keyed_aggregate`` count/sum.
 
     Output: (split, source, n_docs, n_tokens) — the corpus card numbers.
     """
@@ -965,7 +945,8 @@ def curate_corpus(ds: Dataset, text_col: str = "text",
     # (<=1 row per (hash, batch) shuffles), then a FIXED block count —
     # never one Ray group per distinct hash — with a vectorized sorted
     # run-head pick per reduce partition.
-    from .relational import _blk_str, _group_head_indices, block_exchange
+    from .relational import (_blk_str, _group_head_indices, block_exchange,
+                             keyed_aggregate)
 
     n_blocks = 64
 
@@ -982,8 +963,9 @@ def curate_corpus(ds: Dataset, text_col: str = "text",
     keepers = block_exchange(
         slimmed.map_batches(local_first, batch_format="pyarrow"),
         "__blk", n_blocks, block_first)
-    return keepers.groupby(["split", source_col]).aggregate(
-        Count(alias_name="n_docs"), Sum("n_words", alias_name="n_tokens"))
+    return keyed_aggregate(
+        keepers, ["split", source_col],
+        [("n_docs", None, "count_all"), ("n_tokens", "n_words", "sum")])
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +985,7 @@ def sample_to_budget(ds: Dataset, total_tokens: int,
     pack_sequences pack assignment).
 
     Scale shape (the pack_sequences hierarchical fold, per source): docs
-    bucket into fixed id segments; ONE slim groupby yields per
+    bucket into fixed id segments; ONE keyed sum yields per
     (source, segment) token sums; the driver folds prefix offsets (one
     int per (source, segment) — bounded by ``max_driver_segments``, never
     row data) and broadcasts them with the per-source budgets; each
@@ -1013,7 +995,7 @@ def sample_to_budget(ds: Dataset, total_tokens: int,
     """
     import ray
 
-    from .relational import _estimated_rows
+    from .relational import _estimated_rows, keyed_aggregate
 
     if seg_size is None:
         est = _estimated_rows(ds)
@@ -1032,12 +1014,8 @@ def sample_to_budget(ds: Dataset, total_tokens: int,
 
     with_tok = ds.map_batches(tokens, batch_format="pyarrow").materialize()
 
-    seg_rows = (
-        with_tok.select_columns([source_col, "segment", "n_tokens"])
-        .groupby([source_col, "segment"])
-        .aggregate(Sum("n_tokens", alias_name="seg_tokens"))
-        .take_all()
-    )
+    seg_rows = keyed_aggregate(with_tok, [source_col, "segment"],
+                               [("seg_tokens", "n_tokens", "sum")]).take_all()
     # per-source totals -> sqrt-tempered budgets (exact ints, same math
     # as domain_mixture), then per (source, segment) exclusive prefixes
     totals: dict[str, int] = {}
@@ -1073,11 +1051,10 @@ def sample_to_budget(ds: Dataset, total_tokens: int,
             "tokens_selected": pa.array([int(nt[sel].sum())], pa.int64()),
         })
 
-    return (
+    return keyed_aggregate(
         with_tok.groupby([source_col, "segment"])
-        .map_groups(select, batch_format="pyarrow")
-        .groupby(source_col)
-        .aggregate(Max("budget_tokens", alias_name="budget_tokens"),
-                   Sum("n_selected", alias_name="n_selected"),
-                   Sum("tokens_selected", alias_name="tokens_selected"))
-    )
+        .map_groups(select, batch_format="pyarrow"),
+        [source_col],
+        [("budget_tokens", "budget_tokens", "max"),
+         ("n_selected", "n_selected", "sum"),
+         ("tokens_selected", "tokens_selected", "sum")])
