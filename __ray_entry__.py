@@ -624,19 +624,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
     bloom_semijoin and fingerprints (all green in CORRECTNESS_r05, code
     unchanged since). image_decode, image_resize, frame_sample and
     audio_features only changed their actor-pool size, not their output,
-    and stay past the window."""
+    and stay past the window. Moving every keyed shuffle onto
+    relational.hash_exchange / map_groups rotated in inverted_index,
+    doc_size_percentiles and top_docs_per_lang, in place of
+    flagship_statuses, quarantine and export_docx (code untouched by that
+    change; the committed layout they read is covered by
+    flagship_extract)."""
     from unravel_ray import relational as R
 
     return {
         # ---- flagship extraction family (the engine's core surface) ----
         "flagship_extract": _flagship_extract,
         "flagship_rollup": _flagship_rollup,
-        "flagship_statuses": _flagship_statuses,
         "extraction_confidence": _extraction_confidence,
-        "quarantine": _quarantine,
-        # rotated IN when extract_publish moved onto the checkpoint commit
-        # protocol (export_docx reads run_flagship's committed layout)
-        "export_docx": _export_docx,
+        # rotated IN with relational.hash_exchange / map_groups (their
+        # Ray groupby and crc32 placement moved onto it); swapped with
+        # flagship_statuses, quarantine and export_docx, whose code this
+        # change does not touch
+        "inverted_index": _inverted_index,
+        "doc_size_percentiles": R.doc_size_percentiles,
+        "top_docs_per_lang": R.top_docs_per_lang,
         # ---- core reference-parity operators (M7/G2/J1/G6/O4/D1...) ----
         # rotated IN with the block_exchange rewrite (combiner-first
         # word_counts_by_lang; hash_join's exchange and footer-derived
@@ -699,11 +706,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "orders_customer_join": R.orders_customer_join,
         # ---- past the window: every entry below is driver-green in a
         # prior round with code unchanged since its certification (the
-        # first twelve in CORRECTNESS_r05; image_decode, image_resize,
-        # frame_sample and audio_features changed only their actor-pool
-        # size) — and the full
-        # 81-entry sweep still re-verifies values at sf0.001 on every
-        # pytest run ----
+        # first eleven in CORRECTNESS_r05; image_decode, image_resize,
+        # frame_sample, audio_features, lsh_topk, ivf_topk and
+        # ivf_index_topk changed only their actor-pool size; the last
+        # three read the committed layout flagship_extract covers) — and
+        # the full 81-entry sweep still re-verifies values at sf0.001 on
+        # every pytest run ----
         "ai_enrich": _ai_enrich,
         "search_projection": _search_projection,
         "export_markdown": _export_markdown,
@@ -712,7 +720,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_topk": _ann_topk,
         "gopher_quality": _gopher_quality,
         "decontaminate": _decontaminate,
-        "inverted_index": _inverted_index,
         "tfidf_rank": _tfidf_rank,
         "bloom_semijoin": _bloom_semijoin,
         "fingerprints": _fingerprints,
@@ -733,8 +740,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sample_documents": R.sample_documents,
         "documents_page2": R.documents_page2,
         "distinct_counts": R.distinct_counts,
-        "doc_size_percentiles": R.doc_size_percentiles,
-        "top_docs_per_lang": R.top_docs_per_lang,
+        # rotated OUT for the hash_exchange rotation: code untouched by
+        # it, and run_flagship's committed layout they read stays
+        # covered inside the window by flagship_extract
+        "flagship_statuses": _flagship_statuses,
+        "quarantine": _quarantine,
+        "export_docx": _export_docx,
     }
 
 

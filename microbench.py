@@ -19,7 +19,9 @@ The keyed-aggregate kernels run on a deterministic lineitem-shaped block
 (100k rows, 4 keys — two strings, two ints — x 4 int value columns):
 ``_keyed_partial`` over the whole block, and ``_keyed_merge`` over the
 partials of the same rows cut into 8 blocks, as one reduce partition
-receives them.
+receives them. ``_keyed_blk`` — the placement kernel every keyed
+exchange pays — runs over the same 100k rows with one string key
+(returnflag) and one int key (suppkey).
 
 Usage: ``python microbench.py`` — prints one JSON line. No Ray session
 (pure local kernels), safe to run any time.
@@ -89,7 +91,7 @@ def main() -> None:
     t_sh_batch, (_, counts) = _best(_shingle_hashes_batch, text)
     t_sign, banded = _best(MinHashStage(), docs)
 
-    from unravel_ray.relational import _keyed_merge, _keyed_partial
+    from unravel_ray.relational import _keyed_blk, _keyed_merge, _keyed_partial
 
     li = _lineitem_block()
     keys = ["returnflag", "linestatus", "shipmode", "suppkey"]
@@ -101,6 +103,7 @@ def main() -> None:
     merge_in = pa.concat_tables([_keyed_partial(li.slice(i, step), keys, aggs)
                                  for i in range(0, li.num_rows, step)])
     t_kmerge, merged = _best(lambda p: _keyed_merge(p, keys, aggs), merge_in)
+    t_kblk, _ = _best(lambda b: _keyed_blk(b, ["returnflag", "suppkey"]), li)
     print(json.dumps({
         "metric": "single-thread hot-loop sec per 1500-doc synth block",
         "explode_sec": round(t_explode, 4),
@@ -116,6 +119,7 @@ def main() -> None:
         "minhash_band_rows": banded.num_rows,
         "keyed_partial_sec": round(t_kpart, 4),
         "keyed_merge_sec": round(t_kmerge, 4),
+        "keyed_blk_sec": round(t_kblk, 4),
         "keyed_partial_rows": part.num_rows,
         "keyed_merge_rows_in": merge_in.num_rows,
         "keyed_groups": merged.num_rows,

@@ -436,8 +436,9 @@ def _pair_rows(ds, cols):
 
 
 def test_blocked_grouping_matches_per_bucket_reference(ray_session):
-    """The fixed-block grouping (band_hash % n_blocks + equal-hash-run
-    recovery + lowest-band emission) must produce exactly the rows — no
+    """The keyed exchange on (band, band_hash) (many buckets per reduce
+    partition + equal-hash-run recovery + lowest-band emission) must
+    produce exactly the rows — no
     duplicated (a, b) — of grouping by the raw (band, band_hash) bucket
     key and collapsing repeats in a second shuffle."""
     rows = [{"doc_id": i, "text": BASE if i % 3 == 0 else (NEAR if i % 3 == 1 else OTHER)}

@@ -373,16 +373,17 @@ def test_asof_join_semantics(ray_session):
 
 
 def test_asof_join_blocked_matches_bruteforce(ray_session):
-    """Randomized differential: the fixed-block segmented-scan asof must
-    equal the per-row brute-force model, with n_blocks tiny so many keys
-    co-locate in one block (runs, boundary fills, and equal timestamps
-    all exercised)."""
+    """Randomized differential: the keyed-exchange segmented-scan asof
+    must equal the per-row brute-force model, with more keys than reduce
+    partitions so many keys co-locate in one partition (runs, boundary
+    fills, and equal timestamps all exercised)."""
     import random
 
     import pyarrow as pa
 
+    import ray
     import ray.data
-    from unravel_ray.relational import asof_join
+    from unravel_ray.relational import AGG_BLOCKS, asof_join, exchange_partitions
 
     rng = random.Random(1234)
     keys = [f"k{i}" for i in range(17)]
@@ -401,13 +402,16 @@ def test_asof_join_blocked_matches_bruteforce(ray_session):
         "t": pa.array([r[1] for r in rrows], pa.int64()),
         "rid": pa.array([r[2] for r in rrows], pa.int64()),
     })).repartition(5)
-    out = {r["lid"]: r for r in asof_join(
-        left, right, by="k", on="t", right_keep=["t"],
-        n_blocks=3).take_all()}
+    parts = [t for t in ray.get(asof_join(
+        left, right, by="k", on="t", right_keep=["t"]).to_arrow_refs())
+        if t.num_rows]
+    assert exchange_partitions(AGG_BLOCKS) < len(keys)
+    assert max(len(set(t["k"].to_pylist())) for t in parts) > 1
+    out = {r["lid"]: r for t in parts for r in t.to_pylist()}
     assert len(out) == len(lrows)
     given = tuple(d.schema().base_schema for d in (left, right))
     assert {r["lid"]: r for r in asof_join(
-        left, right, by="k", on="t", right_keep=["t"], n_blocks=3,
+        left, right, by="k", on="t", right_keep=["t"],
         schemas=given).take_all()} == out
     for lid, k, t in lrows:
         prior = [rt for rk, rt, _ in rrows if rk == k and rt <= t]

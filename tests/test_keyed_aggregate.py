@@ -85,6 +85,19 @@ def test_timestamp_and_bool_keys(ray_session):
     assert got.schema.field("first").type == pa.timestamp("us")
 
 
+def test_float_and_date_keys(ray_session):
+    """Keys with no int64 image (fractional floats, dates) are placed by
+    their string form, so equal values still meet in one group."""
+    t = pa.table({
+        "f": pa.array([(i % 6) / 4 for i in range(240)], pa.float64()),
+        "d": pa.array([datetime.date(2024, 1, 1 + i % 4) for i in range(240)],
+                      pa.date32()),
+        "v": pa.array(range(240), pa.int64()),
+    })
+    got, _ = _check(t, ["f", "d"])
+    assert got.num_rows == 12
+
+
 def test_constant_first_key_still_spreads(ray_session):
     """Block ids hash every key column: pairs that share their first key
     land in more than one reduce partition (hashing only the first key
@@ -131,3 +144,85 @@ def test_empty_input_gives_no_rows(ray_session):
                   "v": pa.array([], pa.int64())})
     got, n_out = _run(t, ["k"], n_blocks=1)
     assert got is None and n_out == 0
+
+
+# ---------------------------------------------------------------------------
+# the keyed exchange under keyed_aggregate: hash_exchange and map_groups
+# ---------------------------------------------------------------------------
+
+def test_map_groups_matches_ray_groupby(ray_session):
+    """map_groups returns, row for row, what Ray's groupby().map_groups()
+    does: two keys (a constant first key, a second key with nulls, which
+    form one group), a multi-block input and more groups than reduce
+    partitions."""
+    import ray
+    import ray.data
+
+    from unravel_ray.relational import AGG_BLOCKS, exchange_partitions, map_groups
+
+    def summary(g: pa.Table) -> pa.Table:
+        # one row per group, independent of the row order inside it
+        return pa.table({
+            "c": g["c"][:1], "k": g["k"][:1],
+            "n": pa.array([g.num_rows], pa.int64()),
+            "s": pa.array([pc.sum(g["v"]).as_py()], pa.int64()),
+            "ids": pa.array([",".join(map(str, sorted(g["id"].to_pylist())))]),
+        })
+
+    n = 600
+    ks = [None if i % 13 == 0 else i % 37 for i in range(n)]
+    t = pa.table({"c": pa.array(["only"] * n, pa.string()),
+                  "k": pa.array(ks, pa.int64()),
+                  "v": pa.array([(i * 7) % 50 for i in range(n)], pa.int64()),
+                  "id": pa.array(range(n), pa.int64())})
+    ds = ray.data.from_arrow([t.slice(i, 75) for i in range(0, n, 75)])
+    order = [("c", "ascending"), ("k", "ascending")]
+    want = ds.groupby(["c", "k"]).map_groups(
+        summary, batch_format="pyarrow").to_arrow_refs()
+    want = pa.concat_tables(ray.get(want)).sort_by(order)
+    blocks = [b for b in ray.get(
+        map_groups(ds, ["c", "k"], summary).to_arrow_refs())
+        if b.num_rows]
+    got = pa.concat_tables(blocks).sort_by(order)
+    assert got.equals(want)
+    assert got.num_rows == 38  # 37 values + the null group
+    assert got.num_rows > exchange_partitions(AGG_BLOCKS)
+    assert len(blocks) > 1  # the constant first key does not pin one task
+
+
+def test_hash_exchange_without_keys_calls_fn_once(ray_session):
+    """keys=[] sends every row to one partition: fn runs exactly once,
+    over the whole multi-block input."""
+    import ray.data
+
+    from unravel_ray.relational import hash_exchange
+
+    t = pa.table({"v": pa.array(range(500), pa.int64())})
+    ds = ray.data.from_arrow([t.slice(i, 50) for i in range(0, 500, 50)])
+    out = hash_exchange(ds, [], lambda p: pa.table(
+        {"rows": [p.num_rows], "cols": [",".join(p.column_names)]})).take_all()
+    assert out == [{"rows": 500, "cols": "v"}]
+
+
+def test_no_ray_groupby_and_one_exchange_site():
+    """Every keyed shuffle goes through relational.hash_exchange: no Ray
+    groupby or map_groups call in the engine, and block_exchange is
+    called only by hash_exchange and hash_join."""
+    import ast
+    import glob
+    import os
+    import re
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = sorted(glob.glob(os.path.join(root, "unravel_ray", "*.py")))
+    files.append(os.path.join(root, "__ray_entry__.py"))
+    for path in files:
+        src = open(path).read()
+        assert not re.search(r"\.groupby\(|\.map_groups\(", src), path
+        if os.path.basename(path) != "relational.py":
+            assert "block_exchange(" not in src, path
+    tree = ast.parse(open(os.path.join(root, "unravel_ray", "relational.py")).read())
+    callers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "block_exchange"}
+    assert callers == {"hash_exchange", "hash_join"}

@@ -127,7 +127,7 @@ class LshIndexStage:
 
 def lsh_topk(ds: Dataset, queries: np.ndarray, k: int = 10, n_bits: int = 12,
              seed: int = 42, vec_col: str = "embedding", id_col: str = "vec_id",
-             concurrency=2) -> pa.Table:
+             concurrency=(1, 2)) -> pa.Table:
     """Approximate top-k: scan only rows whose LSH bucket matches a query's
     bucket (single-probe). Recall grows with fewer bits / multiprobe; this
     is the 100 TB path — each bucket is a partition-local scan.
@@ -289,7 +289,7 @@ def ivf_topk_quantized(ds: Dataset, queries: np.ndarray, k: int = 5,
     indexed = ds.map_batches(
         IvfQuantAssignStage,
         fn_constructor_kwargs=dict(centroids_ref=cents_ref, vec_col=vec_col),
-        batch_format="pyarrow", concurrency=2,
+        batch_format="pyarrow", concurrency=(1, 2),
     )
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -330,7 +330,7 @@ def build_ivf_index_quantized(ds: Dataset, index_dir: str, n_centroids: int = 8,
     indexed = ds.map_batches(
         IvfQuantAssignStage,
         fn_constructor_kwargs=dict(centroids_ref=cents_ref, vec_col=vec_col),
-        batch_format="pyarrow", concurrency=2,
+        batch_format="pyarrow", concurrency=(1, 2),
     )
     indexed.write_parquet(cells_dir, partition_cols=["ivf_cell"])
     np.save(os.path.join(index_dir, "centroids.npy"), cents)

@@ -6,13 +6,13 @@ ExtractTextFromDocumentImpl.java:50-54); the near-dup family is the
 training-data-pipeline extension the engine needs at 100 TB.
 
 Scale design — each query is ONE exchange of slim rows, never text, and
-every exchange is ``relational.block_exchange`` over a fixed hash-block
-id (explicit cut points, one kernel call per reduce partition):
+every exchange is ``relational.hash_exchange`` on the query's group key
+(one kernel call per reduce partition, many groups per call):
 * Exact dedup: content hash, then ``relational.keyed_aggregate``'s min
   id per hash (per-block partials, one Arrow group_by per reduce
   partition).
 * MinHash-LSH: signatures per batch (numpy-vectorized), explode to
-  (band, band_hash, id, sig) rows, exchange by band_hash % n_blocks —
+  (band, band_hash, id, sig) rows, exchange on (band, band_hash) —
   equal-(band, band_hash) runs are recovered inside each reduce
   partition and verified there (signature-estimated Jaccard), so only
   bucketed rows shuffle, no pairwise all-to-all. A pair colliding in
@@ -213,7 +213,8 @@ def minhash_signature(text: str, num_perm: int = 64, seed: int = 42) -> np.ndarr
 
 
 class MinHashStage:
-    """Actor-pool stage: permutation params built once per actor (A1 analog)."""
+    """MinHash banding stage: permutation params built once per worker
+    (cached by ``minhash_candidate_pairs``; A1 analog)."""
 
     def __init__(self, num_perm: int = 64, bands: int = 16, seed: int = 42,
                  text_col: str = "text", id_col: str = "doc_id"):
@@ -221,7 +222,7 @@ class MinHashStage:
         self.rows_per_band = num_perm // bands
         self.a, self.b = _perm_params(num_perm, seed)
         self.text_col, self.id_col = text_col, id_col
-        self._scratch = None  # lazily faulted per-actor kernel buffer
+        self._scratch = None  # lazily faulted per-worker kernel buffer
 
     # cap on K x total_shingles scratch entries per vectorized slice
     # (64 perms x 2M shingles x 8 B = ~1 GB if unchunked; 4M entries = 32 MB)
@@ -413,16 +414,14 @@ _MINHASH_STAGE_CACHE: dict[tuple, "MinHashStage"] = {}
 
 def minhash_candidate_pairs(ds: Dataset, threshold: float = 0.8, num_perm: int = 64,
                             bands: int = 16, text_col: str = "text",
-                            id_col: str = "doc_id", concurrency=None,
-                            n_blocks: int = 64) -> Dataset:
+                            id_col: str = "doc_id") -> Dataset:
     """Near-duplicate candidate pairs (a < b) with estimated Jaccard >= threshold.
 
-    ONE exchange (relational.block_exchange): the key is
-    band_hash % n_blocks — a FIXED block count — not the raw (band,
-    band_hash): rows of the same LSH bucket still co-locate (equal hash
-    -> equal block), but scheduling no longer scales with docs x bands;
-    equal-hash runs are recovered vectorized inside each reduce
-    partition (_blocked_bucket_pairs). A pair whose
+    ONE exchange (relational.hash_exchange on (band, band_hash)): rows of
+    the same LSH bucket co-locate, many buckets per reduce partition, so
+    scheduling never scales with docs x bands; equal-hash runs are
+    recovered vectorized inside each reduce partition
+    (_blocked_bucket_pairs). A pair whose
     docs collide in several bands is emitted only from the lowest of them
     (its band hashes are recomputed from the ``sig`` each row carries),
     so every pair comes out exactly once with no second (a, b) shuffle —
@@ -432,10 +431,8 @@ def minhash_candidate_pairs(ds: Dataset, threshold: float = 0.8, num_perm: int =
     # TASK mode with a per-worker stage cache: MinHashStage state (perm
     # params + scratch buffer) is cheap to build once per worker process,
     # and a dedicated actor pool costs ~6 s of spin-up/ramp PER EXECUTION
-    # at 32 CPUs (measured; see ai.enrich for the same pattern). The
-    # ``concurrency`` param is kept for callers that want an explicit pool
-    # (heavy custom stages).
-    from .relational import block_exchange
+    # at 32 CPUs (measured; see ai.enrich for the same pattern).
+    from .relational import hash_exchange
 
     key = (num_perm, bands, text_col, id_col)
 
@@ -447,27 +444,11 @@ def minhash_candidate_pairs(ds: Dataset, threshold: float = 0.8, num_perm: int =
                 text_col=text_col, id_col=id_col)
         return stage(batch)
 
-    if concurrency is None:
-        banded = ds.map_batches(sign_task, batch_format="pyarrow")
-    else:
-        banded = ds.map_batches(
-            MinHashStage,
-            fn_constructor_kwargs=dict(num_perm=num_perm, bands=bands,
-                                       text_col=text_col, id_col=id_col),
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
-
-    def add_block(t: pa.Table) -> pa.Table:
-        # band_hash is already a uniform mod-P31 fold; plain modulo blocks
-        blocks = t["band_hash"].to_numpy(zero_copy_only=False) % n_blocks
-        return t.append_column("block", pa.array(blocks.astype(np.int32)))
-
     def block_pairs(group: pa.Table) -> pa.Table:
         return _blocked_bucket_pairs(group, threshold, bands)
 
-    return block_exchange(banded.map_batches(add_block, batch_format="pyarrow"),
-                          "block", n_blocks, block_pairs)
+    return hash_exchange(ds.map_batches(sign_task, batch_format="pyarrow"),
+                         ["band", "band_hash"], block_pairs)
 
 
 def minhash_dedup(ds: Dataset, threshold: float = 0.8,
@@ -616,14 +597,14 @@ def simhash_buckets(ds: Dataset, n_tables: int | None = None, text_col: str = "t
     (never fewer — a caller-supplied smaller value is raised on, it would
     silently miss pairs). Exact hamming check inside each bucket.
 
-    ONE exchange, the minhash_candidate_pairs shape: rows move by a
-    fixed hash block of (table, key) (relational.block_exchange); a pair
-    agreeing on several tables is
+    ONE exchange, the minhash_candidate_pairs shape: rows move by
+    (table, key) (relational.hash_exchange); a pair agreeing on several
+    tables is
     emitted only from the lowest of them (the table keys are recomputed
     from the ``simhash`` each row carries), so each pair comes out exactly
     once. Precondition: ``id_col`` values are unique keys.
     """
-    from .relational import block_exchange
+    from .relational import hash_exchange
 
     required = max_hamming + 1
     if n_tables is None:
@@ -687,18 +668,8 @@ def simhash_buckets(ds: Dataset, n_tables: int | None = None, text_col: str = "t
             "hamming": pa.array(np.concatenate(d_o) if d_o else [],
                                 pa.int32())})
 
-    n_blocks = 64
-
-    def add_block(t: pa.Table) -> pa.Table:
-        k = t["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        tb = t["tbl"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((k * np.uint64(0x9E3779B97F4A7C15) + tb) >> np.uint64(33)) % n_blocks
-        return t.append_column("block", pa.array(b.astype(np.int32)))
-
-    return block_exchange(
-        ds.map_batches(sim_batch, batch_format="pyarrow")
-        .map_batches(add_block, batch_format="pyarrow"),
-        "block", n_blocks, blocked_pairs)
+    return hash_exchange(ds.map_batches(sim_batch, batch_format="pyarrow"),
+                         ["tbl", "key"], blocked_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +825,7 @@ def embedding_neardup_bucketed(ds: Dataset, threshold: float = 0.95,
     random-hyperplane signature per band (ann.LshIndexStage planes,
     band-seeded); rows shuffle by (band, bucket); EXACT cosine runs only
     within buckets; duplicate pairs found by multiple bands collapse in a
-    final slim (a, b) groupby. Recall = 1-(1-p^bits)^bands with
+    final slim keyed (a, b) min. Recall = 1-(1-p^bits)^bands with
     p = 1-theta/pi — high in the near-duplicate regime (threshold >= ~0.9);
     raise n_bands / lower n_bits for lower thresholds.
 
@@ -934,16 +905,13 @@ def embedding_neardup_bucketed(ds: Dataset, threshold: float = 0.95,
                          "b": pa.array(np.concatenate(rows_b)),
                          "cos": pa.array(np.concatenate(rows_c))})
 
-    pairs = (
-        ds.map_batches(expand, batch_format="pyarrow")
-        .groupby(["band", "bucket"])
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    from .relational import keyed_aggregate, map_groups
+
+    pairs = map_groups(ds.map_batches(expand, batch_format="pyarrow"),
+                       ["band", "bucket"], bucket_pairs)
     # collapse duplicates found by multiple bands (slim int shuffle);
     # keyed min — no per-pair UDF, and deterministic where the per-band
     # matmul chunking could differ in the last float ulp
-    from .relational import keyed_aggregate
-
     return keyed_aggregate(pairs, ["a", "b"], [("cos", "cos", "min")])
 
 
@@ -953,8 +921,8 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
     The state is one slim int64 dataset of three row kinds, each keyed by
     ``node``: the node's label (``_OWN``), its edges (``_EDGE``, carried
     through every round) and label candidates sent to it (``_CAND``).
-    Each round is ONE exchange — relational.block_exchange over a fixed
-    hash block of ``node``, one vectorized fold per reduce partition: a
+    Each round is ONE exchange — relational.hash_exchange on ``node``,
+    one vectorized fold per reduce partition: a
     node's new label is the min of its label
     and its candidates, and a node whose label changed sends it to every
     peer as a candidate for the next round. The state is the previous
@@ -974,11 +942,10 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
     Pass a materialized ``edges`` dataset; labels stay distributed end to
     end. Returns labels(node, label).
     """
-    from .relational import _blk_int, block_exchange
+    from .relational import hash_exchange
 
     _OWN, _EDGE, _CAND = 0, 1, 2
     _INT64_MAX = np.iinfo(np.int64).max
-    n_blocks = 64
 
     def seed(batch: pa.Table) -> pa.Table:
         # own label = node id; both edge directions; the seed labels sent
@@ -996,12 +963,9 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
             "kind": kind,
         })
 
-    def add_block(t: pa.Table) -> pa.Table:
-        return t.append_column("blk", _blk_int(t["node"], n_blocks))
-
     def fold(group: pa.Table) -> pa.Table:
-        # one reduce partition holding many nodes (FIXED block count,
-        # VERDICT r3 item 6): sort by node, recover equal-node runs
+        # one reduce partition holding many nodes (never one Ray group
+        # per node, VERDICT r3 item 6): sort by node, recover equal-node runs
         # vectorized, fold with reduceat/repeat — no per-node Python
         t = group.sort_by([("node", "ascending")])
         node = t["node"].to_numpy(zero_copy_only=False)
@@ -1040,9 +1004,7 @@ def propagate_min_labels_distributed(edges: Dataset, n_rounds: int = 64) -> Data
 
     state = edges.map_batches(seed, batch_format="pyarrow", batch_size=None)
     for _ in range(n_rounds):
-        state = block_exchange(
-            state.map_batches(add_block, batch_format="pyarrow", batch_size=None),
-            "blk", n_blocks, fold).materialize()
+        state = hash_exchange(state, ["node"], fold).materialize()
         sent = sum(r["n"] for r in state.map_batches(
             n_sent, batch_format="pyarrow", batch_size=None).take_all())
         if sent == 0:  # no label moved this round

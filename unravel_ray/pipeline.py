@@ -10,7 +10,7 @@ collapses into one lazy streaming Dataset plan:
            docs split by a block cut come out as marker rows
          → extract_publish: committed through the checkpoint protocol
            (workers write the rows; split docs are recomputed from source)
-    extracted → groupby(collection_id) aggregate → rollup   # G2
+    extracted → keyed_aggregate(collection_id) → rollup   # G2
 
 Everything streams with backpressure; nothing materializes the full input.
 Library code never calls ray.init() — callers own the session.

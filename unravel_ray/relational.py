@@ -119,7 +119,7 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# the fixed-block exchange shared by every block-id keyed operator
+# the fixed-block exchange under hash_exchange and hash_join
 # ---------------------------------------------------------------------------
 
 def _session_cpus() -> int:
@@ -130,10 +130,10 @@ def _session_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def exchange_partitions(n_blocks: int) -> int:
-    """Reduce partitions for an exchange over ``n_blocks`` block ids: one
+def exchange_partitions(n_ids: int) -> int:
+    """Reduce partitions for an exchange over ``n_ids`` block ids: one
     per CPU of the session, never more than there are block ids."""
-    return max(1, min(n_blocks, _session_cpus()))
+    return max(1, min(n_ids, _session_cpus()))
 
 
 def read_parquet_sized(path: str, columns: list[str] | None = None) -> Dataset:
@@ -163,23 +163,23 @@ def read_parquet_sized(path: str, columns: list[str] | None = None) -> Dataset:
     return ray.data.read_parquet(path, columns=columns, override_num_blocks=n)
 
 
-def block_exchange(ds: Dataset, key: str, n_blocks: int, fn,
+def block_exchange(ds: Dataset, key: str, n_ids: int, fn,
                    n_partitions: int | None = None) -> Dataset:
     """Co-locate the rows of each int block id in ``key`` (values in
-    ``[0, n_blocks)``) and run ``fn`` once per reduce partition.
+    ``[0, n_ids)``) and run ``fn`` once per reduce partition.
 
     One sort exchange with explicit cut points: nothing is sampled, the
     block ids split into ``n_partitions`` contiguous ranges (default
-    ``exchange_partitions(n_blocks)``), a sort reduce emits one block per
+    ``exchange_partitions(n_ids)``), a sort reduce emits one block per
     range and ``batch_size=None`` hands that block to ``fn`` whole — so
     ``fn`` sees whole block-id groups, several of them per call, and must
     treat its input as a union of groups (every kernel here sorts or
     groups by its own key). Empty partitions (Ray emits them without a
     schema) never reach ``fn``; they produce no output block."""
-    n = n_partitions or exchange_partitions(n_blocks)
+    n = n_partitions or exchange_partitions(n_ids)
     # an empty cut list makes Ray sample boundaries, so a single partition
-    # cuts at n_blocks: every id falls below it
-    cuts = [i * n_blocks // n for i in range(1, n)] or [n_blocks]
+    # cuts at n_ids: every id falls below it
+    cuts = [i * n_ids // n for i in range(1, n)] or [n_ids]
 
     def run(part: pa.Table):
         if part.num_rows:
@@ -190,58 +190,105 @@ def block_exchange(ds: Dataset, key: str, n_blocks: int, fn,
         run, batch_format="pyarrow", batch_size=None)
 
 
-def _blk_str(arr, n_blocks: int) -> pa.Array:
-    """Fixed hash-block id for a string key column (nulls share one)."""
-    from .hashing import hash_strings
-
-    return pa.array((hash_strings(arr) % np.uint64(n_blocks)).astype(np.int32))
-
-
-def _int_hash(arr) -> np.ndarray:
-    """Multiply-shift uint64 hash of an integer-valued column."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    h = arr.to_numpy(zero_copy_only=False).astype(np.uint64) \
-        * np.uint64(0x9E3779B97F4A7C15)
-    return h >> np.uint64(33)
-
-
-def _blk_int(arr, n_blocks: int) -> pa.Array:
-    """Fixed hash-block id for an integer key column (multiply-shift)."""
-    return pa.array((_int_hash(arr) % np.uint64(n_blocks)).astype(np.int32))
-
-
 # ---------------------------------------------------------------------------
-# the one keyed aggregate: every groupby-aggregate in the engine
+# the one keyed exchange: every keyed shuffle in the engine
 # ---------------------------------------------------------------------------
 
-AGG_BLOCKS = 64  # fixed block-id space of every keyed aggregate
+AGG_BLOCKS = 64  # fixed block-id space of every keyed exchange
 _MERGE_FN = {"count_all": "sum", "sum": "sum", "min": "min", "max": "max"}
 
 
 def _key_hash(arr) -> np.ndarray:
-    """uint64 placement hash of one key column: strings and binaries by
-    value (``hashing.hash_strings``), every other type (ints, bools,
-    timestamps) through its int64 image, nulls as 0, and the
-    multiply-shift of ``_blk_int``."""
+    """uint64 placement hash of one key column: ints, bools and
+    timestamps through their int64 image (nulls as 0) and a
+    multiply-shift; strings and binaries by value
+    (``hashing.hash_strings``), and every other type (floats, dates,
+    decimals) by value through its string form."""
     from .hashing import hash_strings
 
     t = arr.type
-    if pa.types.is_string(t) or pa.types.is_large_string(t) \
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t):
+    if not (pa.types.is_integer(t) or pa.types.is_boolean(t)
+            or pa.types.is_timestamp(t)):
+        if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+                or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+            arr = pc.cast(arr, pa.string())
         return hash_strings(arr)
-    return _int_hash(pc.fill_null(pc.cast(arr, pa.int64()), 0))
+    k = pc.fill_null(pc.cast(arr, pa.int64()), 0)
+    if isinstance(k, pa.ChunkedArray):
+        k = k.combine_chunks()
+    h = k.to_numpy(zero_copy_only=False).astype(np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    return h >> np.uint64(33)
 
 
-def _keyed_blk(t: pa.Table, keys: list[str], n_blocks: int) -> pa.Array:
-    """Block id of each row: a hash over ALL key columns mod ``n_blocks``,
-    so groups that share a first key still spread over the partitions."""
+def _keyed_blk(t: pa.Table, keys: list[str]) -> pa.Array:
+    """Block id of each row: a hash over ALL key columns mod
+    ``AGG_BLOCKS``, so groups that share a first key still spread over
+    the partitions. No keys put every row in block 0."""
     from .hashing import _P, _splitmix
 
     h = np.zeros(t.num_rows, np.uint64)
     for k in keys:
         h = h * _P + _key_hash(t[k])
-    return pa.array((_splitmix(h) % np.uint64(n_blocks)).astype(np.int32))
+    return pa.array((_splitmix(h) % np.uint64(AGG_BLOCKS)).astype(np.int32))
+
+
+def hash_exchange(ds: Dataset | list[Dataset], keys: list[str], fn) -> Dataset:
+    """Co-locate the rows of each distinct ``keys`` tuple and run ``fn``
+    once per reduce partition, on a table of whole key groups (several
+    per call; the block id is dropped). ``keys=[]`` sends every row to
+    one partition, so ``fn`` runs once over the whole input. A list of
+    datasets (one schema) is co-grouped: each is placed on its own and
+    the placed datasets are unioned.
+
+    Rows are placed by ``_keyed_blk`` into the fixed ``AGG_BLOCKS``
+    block-id space (a ``batch_size=None`` map, so it fuses with a
+    caller's whole-block map; a placement after a union would run as
+    one more task per block) and moved by ``block_exchange``."""
+    def place(t: pa.Table) -> pa.Table:
+        return t.append_column("__blk", _keyed_blk(t, keys))
+
+    def run(part: pa.Table) -> pa.Table:
+        return fn(part.drop_columns(["__blk"]))
+
+    run.__name__ = getattr(fn, "__name__", "hash_exchange")
+    first, *rest = [d.map_batches(place, batch_format="pyarrow", batch_size=None)
+                    for d in (ds if isinstance(ds, list) else [ds])]
+    placed = first.union(*rest) if rest else first
+    return block_exchange(placed, "__blk", AGG_BLOCKS, run)
+
+
+def _run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Start index of each equal-``keys`` run of a table sorted by
+    ``keys``; nulls compare equal, so null keys form one run."""
+    n = t.num_rows
+    change = np.zeros(n, bool)
+    if n:
+        change[0] = True
+    for k in keys:
+        codes = pc.dictionary_encode(t[k].combine_chunks(),
+                                     null_encoding="encode").indices.to_numpy()
+        change[1:] |= codes[1:] != codes[:-1]
+    return np.flatnonzero(change)
+
+
+def map_groups(ds: Dataset, keys: list[str], fn) -> Dataset:
+    """``fn`` applied to every group of rows with equal ``keys`` (null
+    keys form one group), the per-group UDF of Ray's grouped map_groups:
+    ``hash_exchange`` on ``keys``, then each reduce partition is sorted
+    by ``keys`` and ``fn`` runs once per key run. The outputs of one
+    partition are concatenated (schemas promoted). Rows come in no
+    particular order."""
+    def groups(part: pa.Table) -> pa.Table:
+        t = part.sort_by([(k, "ascending") for k in keys]) if keys else part
+        starts = _run_starts(t, keys)
+        ends = np.append(starts[1:], t.num_rows)
+        return pa.concat_tables(
+            [fn(t.slice(s, e - s)) for s, e in zip(starts, ends)],
+            promote_options="default")
+
+    groups.__name__ = getattr(fn, "__name__", "map_groups")
+    return hash_exchange(ds, keys, groups)
 
 
 def _agg_named(g: pa.Table, keys: list[str], aggs) -> pa.Table:
@@ -255,15 +302,13 @@ def _agg_named(g: pa.Table, keys: list[str], aggs) -> pa.Table:
 
 
 def _keyed_partial(batch: pa.Table, keys: list[str], aggs) -> pa.Table:
-    """Per-block partial of ``keyed_aggregate``: one Arrow group_by, then
-    the block id of each partial row in ``__blk``."""
+    """Per-block partial of ``keyed_aggregate``: one Arrow group_by."""
     spec = [([], "count_all") if fn == "count_all" else (col, fn)
             for _, col, fn in aggs]
     cols = list(dict.fromkeys(
         keys + [col for _, col, fn in aggs if fn != "count_all"]))
-    g = _agg_named(pa.TableGroupBy(batch.select(cols), keys).aggregate(spec),
-                   keys, aggs)
-    return g.append_column("__blk", _keyed_blk(g, keys, AGG_BLOCKS))
+    return _agg_named(pa.TableGroupBy(batch.select(cols), keys).aggregate(spec),
+                      keys, aggs)
 
 
 def _keyed_merge(part: pa.Table, keys: list[str], aggs) -> pa.Table:
@@ -271,8 +316,7 @@ def _keyed_merge(part: pa.Table, keys: list[str], aggs) -> pa.Table:
     of one reduce partition (count_all and sum partials sum, min and max
     partials take min and max)."""
     spec = [(name, _MERGE_FN[fn]) for name, _, fn in aggs]
-    g = pa.TableGroupBy(part.drop_columns(["__blk"]), keys).aggregate(spec)
-    return _agg_named(g, keys, aggs)
+    return _agg_named(pa.TableGroupBy(part, keys).aggregate(spec), keys, aggs)
 
 
 def keyed_aggregate(ds: Dataset, keys, aggs) -> Dataset:
@@ -284,25 +328,20 @@ def keyed_aggregate(ds: Dataset, keys, aggs) -> Dataset:
     integer or boolean columns); min and max keep the column's type.
     Rows come in no particular order.
 
-    Combiner-first over a fixed block-id space: each block collapses to
+    Combiner-first through ``hash_exchange``: each block collapses to
     one partial row per local group with an Arrow group_by
     (``_keyed_partial``, ``batch_size=None`` so it fuses with a caller's
-    whole-block projection), the partial rows move by a hash of all key
-    columns mod ``AGG_BLOCKS`` (``block_exchange``), and one Arrow
-    group_by per reduce partition merges them (``_keyed_merge``). Only
-    partial rows cross the exchange, and no Ray group is made per key.
-
-    Per-group kernels that are not aggregates stay on Ray's
-    ``groupby().map_groups()``: top_docs_per_lang, doc_size_percentiles,
-    sketch.hll_estimate and quantile_sketch's fold, and textstats
-    pack_sequences, domain_mixture's weights, sample_to_budget's select
-    and dedup.embedding_neardup_bucketed's buckets."""
+    whole-block projection and with the exchange's placement map), and
+    one Arrow group_by per reduce partition merges the partials
+    (``_keyed_merge``). Only partial rows cross the exchange, and no Ray
+    group is made per key. Per-group kernels that are not aggregates
+    use ``map_groups``."""
     def keyed_merge(part: pa.Table) -> pa.Table:
         return _keyed_merge(part, keys, aggs)
 
     parts = ds.map_batches(_keyed_partial, fn_kwargs={"keys": keys, "aggs": aggs},
                            batch_format="pyarrow", batch_size=None)
-    return block_exchange(parts, "__blk", AGG_BLOCKS, keyed_merge)
+    return hash_exchange(parts, keys, keyed_merge)
 
 
 # ---------------------------------------------------------------------------
@@ -915,16 +954,9 @@ def bloom_semijoin_stats(sf_dir: str, segment: str = "BUILDING") -> "pa.Table":
 
 def _group_head_indices(sorted_tbl: pa.Table, group_col: str, k: int) -> np.ndarray:
     """Indices of the first k rows of each group-run in an already-sorted
-    table (vectorized run detection on dictionary codes)."""
+    table (vectorized run detection, ``_run_starts``)."""
     n = sorted_tbl.num_rows
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    codes = pc.dictionary_encode(
-        sorted_tbl[group_col].combine_chunks()).indices.to_numpy()
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
+    starts = _run_starts(sorted_tbl, [group_col])
     counts = np.diff(np.append(starts, n))
     rank = np.arange(n) - np.repeat(starts, counts)
     return np.flatnonzero(rank < k)
@@ -933,7 +965,7 @@ def _group_head_indices(sorted_tbl: pa.Table, group_col: str, k: int) -> np.ndar
 def _partial_group_head(batch: pa.Table, group_col: str,
                         sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
     """Combiner: keep only each group's local top-k rows in this batch, so
-    the groupby shuffle moves at most k rows per (group, batch) instead of
+    the exchange moves at most k rows per (group, batch) instead of
     every row (classic pre-aggregation; see ray_guide 'Aggregation at
     scale')."""
     g = batch.sort_by([(group_col, "ascending"), *sort_keys])
@@ -943,28 +975,18 @@ def _partial_group_head(batch: pa.Table, group_col: str,
 def first_event_per_user(sf_dir: str) -> Dataset:
     """Per-user earliest event (first-match pick O3, ProcessOcr.java:62-65;
     dedup-by-key D1). Combiner-first: each batch pre-reduces to one row
-    per local user, THEN the slim survivors move by a fixed hash block of
-    the user (``block_exchange``) into one sorted run-head pick per
-    reduce partition.
+    per local user, THEN the slim survivors move by ``hash_exchange`` on
+    the user into the same sorted run-head pick per reduce partition
+    (one partition holds many users; never one Ray group per user).
     """
     ds = _pq(sf_dir, "events", ["user_id", "event_id", "event_type", "ts"])
     keys = [("ts", "ascending"), ("event_id", "ascending")]
-    n_blocks = 64
 
-    def add_block(t: pa.Table) -> pa.Table:
-        t = _partial_group_head(t, group_col="user_id", sort_keys=keys, k=1)
-        return t.append_column("__blk", _blk_int(t["user_id"], n_blocks))
+    def head1(t: pa.Table) -> pa.Table:
+        return _partial_group_head(t, group_col="user_id", sort_keys=keys, k=1)
 
-    def head1(group: pa.Table) -> pa.Table:
-        # one partition holds MANY users: sort, then vectorized run-head pick
-        g = group.drop_columns(["__blk"]).sort_by(
-            [("user_id", "ascending"), *keys])
-        return g.take(pa.array(_group_head_indices(g, "user_id", 1)))
-
-    # combiner-first (<=1 row per (user, batch) shuffles) into a FIXED
-    # block count — never one Ray group per user
-    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
-                          "__blk", n_blocks, head1)
+    return hash_exchange(ds.map_batches(head1, batch_format="pyarrow"),
+                         ["user_id"], head1)
 
 
 # ---------------------------------------------------------------------------
@@ -1255,20 +1277,16 @@ def top_docs_per_lang(sf_dir: str, k: int = 3) -> Dataset:
     """Top-k largest docs per language — the window-function
     (row_number over partition) shape. Combiner-first: each batch keeps
     only its local per-lang top-k, so the shuffle moves ≤ k rows per
-    (lang, batch)."""
+    (lang, batch); ``hash_exchange`` on lang runs the same top-k pick
+    over each reduce partition."""
     ds = _pq(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     keys = [("n_chars", "descending"), ("doc_id", "ascending")]
 
-    def head_k(group: pa.Table) -> pa.Table:
-        return group.sort_by(keys).slice(0, k)
+    def head_k(t: pa.Table) -> pa.Table:
+        return _partial_group_head(t, group_col="lang", sort_keys=keys, k=k)
 
-    return (
-        ds.map_batches(_partial_group_head,
-                       fn_kwargs={"group_col": "lang", "sort_keys": keys, "k": k},
-                       batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(head_k, batch_format="pyarrow")
-    )
+    return hash_exchange(ds.map_batches(head_k, batch_format="pyarrow"),
+                         ["lang"], head_k)
 
 
 # ---------------------------------------------------------------------------
@@ -1324,8 +1342,8 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30) -> Dataset:
     < ``gap_minutes`` form one session (the classic gaps-and-islands
     sessionization a streaming engine does with session windows).
 
-    Ray shape: ``block_exchange`` on hash(user) % n_blocks — a FIXED
-    block count — then ONE vectorized pass per reduce partition: sort by
+    Ray shape: ``hash_exchange`` on the user (many users per reduce
+    partition), then ONE vectorized pass per reduce partition: sort by
     (user, ts, event_id), flag session starts where the user changes OR
     the gap is >= the threshold, and read per-session first/last/count off
     the boundary index arrays (ray_guide 'Streaming-shaped workloads'
@@ -1334,10 +1352,6 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30) -> Dataset:
     """
     ds = _pq(sf_dir, "events", ["user_id", "event_id", "ts"])
     gap_us = gap_minutes * 60 * 1_000_000
-    n_blocks = 64
-
-    def add_block(t: pa.Table) -> pa.Table:
-        return t.append_column("__blk", _blk_int(t["user_id"], n_blocks))
 
     def sessions(group: pa.Table) -> pa.Table:
         g = group.sort_by([("user_id", "ascending"), ("ts", "ascending"),
@@ -1371,8 +1385,7 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30) -> Dataset:
             "duration_us": pa.array(durs, pa.int64()),
         })
 
-    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
-                          "__blk", n_blocks, sessions)
+    return hash_exchange(ds, ["user_id"], sessions)
 
 
 # ---------------------------------------------------------------------------
@@ -1389,8 +1402,11 @@ def _estimated_rows(ds: Dataset) -> int | None:
         return None
 
 
+_JOIN_BUCKET_ROWS = 250_000  # hash_join's target rows per bucket
+
+
 def derive_join_buckets(left: Dataset, right: Dataset,
-                        target_rows_per_bucket: int = 250_000,
+                        target_rows_per_bucket: int = _JOIN_BUCKET_ROWS,
                         est_rows: int | None = None,
                         min_buckets: int = 32) -> int:
     """Bucket count sized to the DATA: each co-grouped bucket materializes
@@ -1408,9 +1424,7 @@ def derive_join_buckets(left: Dataset, right: Dataset,
 
 
 def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
-              right_suffix: str = "_r", n_buckets: int | None = None,
-              target_rows_per_bucket: int = 250_000,
-              est_rows: int | None = None,
+              right_suffix: str = "_r", est_rows: int | None = None,
               hot_keys=None, n_salts: int = 16,
               schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
     """Distributed BUCKETED hash join with no driver/broadcast state —
@@ -1438,13 +1452,14 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
     natively). Bucketing instead of per-key
     grouping keeps the group count bounded regardless of key
     cardinality — per-group scheduling overhead doesn't scale with keys.
-    ``n_buckets=None`` (default) derives the count from the data —
-    ``max(32, est_rows / target_rows_per_bucket)`` — so per-bucket task
-    memory stays ~flat as inputs grow; pass ``est_rows`` when transforms
-    upstream hide the metadata count (see derive_join_buckets). Reduce
-    partitions: one per CPU, but never fewer than
-    ``ceil(est_rows / target_rows_per_bucket)``, so no partition holds
-    more than one bucket's row share.
+    The bucket count comes from the data (``derive_join_buckets``:
+    ``max(32, est_rows / 250k)``), so per-bucket task memory stays ~flat
+    as inputs grow; pass ``est_rows`` when transforms upstream hide the
+    metadata count. Reduce partitions: one per CPU, but never fewer than
+    ``ceil(est_rows / 250k)``. Because of that data-derived bucket count
+    and the salts, it calls ``block_exchange`` itself rather than
+    ``hash_exchange``; a key's bucket is the shared ``_key_hash`` plus
+    one salt mix.
     Only the joined columns ride the shuffle — prune with select_columns
     before calling. Right-side columns colliding with left names get
     ``right_suffix``. ``schemas=(left, right)`` passes the sides' Arrow
@@ -1482,13 +1497,10 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
         sizes = [s for s in (_estimated_rows(left), _estimated_rows(right))
                  if s is not None]
         est_rows = max(sizes) if sizes else None
-    if n_buckets is None:
-        n_buckets = derive_join_buckets(left, right, target_rows_per_bucket,
-                                        est_rows)
+    n_buckets = derive_join_buckets(left, right, est_rows=est_rows)
     n_parts = exchange_partitions(n_buckets)
     if est_rows is not None:
-        n_parts = min(n_buckets, max(n_parts,
-                                     -(-est_rows // target_rows_per_bucket)))
+        n_parts = min(n_buckets, max(n_parts, -(-est_rows // _JOIN_BUCKET_ROWS)))
     arrow_how = {"inner": "inner", "left": "left outer",
                  "semi": "left semi", "anti": "left anti",
                  "right": "right outer", "full": "full outer"}[how]
@@ -1506,37 +1518,16 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
         + [pa.field(c, ltypes[c]) for c in lcols]
         + [pa.field(o, rtypes[c]) for c, o in zip(rcols, rout)]
     )
-    key_type = ltypes[on]
-    hot_arr = pa.array(hot_list).cast(key_type) if hot_list else None
-
-    def _key_hash(key_arr) -> np.ndarray:
-        """uint64 value-hash of the join key, vectorized for int and
-        string/binary keys; Python-loop str() fold only for exotic types."""
-        if isinstance(key_arr, pa.ChunkedArray):
-            key_arr = key_arr.combine_chunks()
-        if pa.types.is_integer(key_type):
-            if key_arr.null_count:
-                # placement-only: nulls never match, they just need a
-                # deterministic bucket (NaN->uint64 is platform-defined)
-                key_arr = pc.fill_null(key_arr, 0)
-            k = key_arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-            return k * np.uint64(0x9E3779B97F4A7C15)
-        try:
-            from .hashing import hash_strings
-
-            return hash_strings(key_arr)
-        except TypeError:
-            import zlib as _z
-
-            return np.array(
-                [_z.crc32(str(v).encode()) for v in key_arr.to_pylist()],
-                np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    hot_arr = pa.array(hot_list).cast(ltypes[on]) if hot_list else None
 
     def _bucket_of(key_arr, salts: np.ndarray | None = None) -> pa.Array:
+        from .hashing import _splitmix
+
+        # nulls never match; they just need a deterministic bucket
         h = _key_hash(key_arr)
         if salts is not None:
             h = h + salts.astype(np.uint64) * np.uint64(0xD1B54A32D192ED03)
-        return pa.array(((h >> np.uint64(33)) % n_buckets).astype(np.int32))
+        return pa.array((_splitmix(h) % np.uint64(n_buckets)).astype(np.int32))
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1609,8 +1600,8 @@ def detect_hot_keys(ds: Dataset, on: str, min_rows: int = 250_000) -> list:
     hash_join. A slim ``keyed_aggregate`` row count per key, filtered
     BEFORE collecting — the driver only ever holds the hot set (few keys
     by definition; a key must exceed min_rows to surface). Pair with
-    table_stats NDV/row estimates to pick min_rows ≈
-    target_rows_per_bucket."""
+    table_stats NDV/row estimates to pick min_rows ≈ hash_join's
+    rows per bucket."""
     agg = keyed_aggregate(ds.select_columns([on]), [on],
                           [("cnt", None, "count_all")])
     hot = agg.map_batches(
@@ -1775,21 +1766,20 @@ def sample_documents(sf_dir: str, pct: int = 10) -> Dataset:
 
 def asof_join(left: Dataset, right: Dataset, by: str, on: str,
               right_keep: list[str], right_suffix: str = "_r",
-              n_blocks: int = 64,
               schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
     """Backward as-of join: for each left row, the LAST right row of the
     same ``by`` key with right.on <= left.on (nulls when none precedes).
 
-    Composition (north-rule custom-operator path (a)): tagged union ->
-    ``block_exchange`` on hash(by) % n_blocks — a FIXED block count,
-    never one Ray group per key — then ONE vectorized segmented scan per
-    reduce partition (a union of whole blocks): sort
+    Composition (north-rule custom-operator path (a)): the two tagged
+    sides co-grouped by ``hash_exchange`` on ``by`` — never one Ray group
+    per key — then ONE
+    vectorized segmented scan per reduce partition (a union of whole key
+    groups): sort
     by (key, time, right-before-left), forward-fill the last right-row
     index with np.maximum.accumulate, and invalidate fills that cross a
     key-run boundary (fill < run_start). No per-key Python anywhere.
-    Partitioning assumption: rows hash-balance across blocks, so one
-    block holds ~|left + right| / n_blocks rows — size n_blocks so that
-    fits a worker; a single hot key cannot straddle blocks (the scan is
+    Partitioning assumption: rows hash-balance across the reduce
+    partitions; a single hot key cannot straddle partitions (the scan is
     order-exact within its run regardless of run length).
     ``schemas=(left, right)`` passes the sides' Arrow schemas when the
     caller knows them, as in ``hash_join``; otherwise each side's
@@ -1799,22 +1789,17 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
     lcols = list(lschema.names)
     rtypes = dict(zip(rschema.names, rschema.types))
     ltypes = dict(zip(lschema.names, lschema.types))
-    key_type = ltypes[by]
     rout = [c + right_suffix if c in lcols else c for c in right_keep]
     union_schema = pa.schema(
-        [pa.field("__blk", pa.int32()), pa.field("__side", pa.int8()),
-         pa.field("__t", pa.int64())]
+        [pa.field("__side", pa.int8()), pa.field("__t", pa.int64())]
         + [pa.field(c, ltypes[c]) for c in lcols]
         + [pa.field(o, rtypes[c]) for c, o in zip(right_keep, rout)]
     )
 
-    _blk = _blk_int if pa.types.is_integer(key_type) else _blk_str
-
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            arrays = [_blk(batch[by], n_blocks),
-                      pa.array(np.full(n, side, dtype=np.int8)),
+            arrays = [pa.array(np.full(n, side, dtype=np.int8)),
                       pc.cast(batch[on], pa.int64())]
             for c in lcols:
                 if side == 0:
@@ -1829,9 +1814,8 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
             return pa.Table.from_arrays(arrays, schema=union_schema)
         return fn
 
-    unioned = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
-    )
+    sides = [left.map_batches(tag(0), batch_format="pyarrow"),
+             right.map_batches(tag(1), batch_format="pyarrow")]
     result_schema = pa.schema([pa.field(c, ltypes[c]) for c in lcols]
                               + [pa.field(o, rtypes[c])
                                  for c, o in zip(right_keep, rout)])
@@ -1874,7 +1858,7 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
             arrays.append(col)
         return pa.Table.from_arrays(arrays, schema=result_schema)
 
-    return block_exchange(unioned, "__blk", n_blocks, block_asof)
+    return hash_exchange(sides, [by], block_asof)
 
 
 def _purchase_click_sides(sf_dir: str):
@@ -2022,7 +2006,7 @@ def doc_size_percentiles(sf_dir: str) -> Dataset:
             out[name] = pa.array([int(vals[max(k, 0)])], pa.int64())
         return pa.table(out)
 
-    return ds.groupby("lang").map_groups(pick, batch_format="pyarrow")
+    return map_groups(ds, ["lang"], pick)
 
 
 def customers_without_orders(sf_dir: str, status: str = "P") -> Dataset:
@@ -2045,10 +2029,10 @@ def customers_without_orders(sf_dir: str, status: str = "P") -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _user_block_runs(group: pa.Table):
-    """Shared fixed-block window kernel prologue: sort ONE hash block of
-    many users by (user_id, ts, event_id), return the sorted table, its
-    cents cumsum, and each row's key-run start index — everything the
-    segmented window kernels need, all vectorized."""
+    """Shared keyed-exchange window kernel prologue: sort ONE reduce
+    partition of many users by (user_id, ts, event_id), return the
+    sorted table, its cents cumsum, and each row's key-run start index —
+    everything the segmented window kernels need, all vectorized."""
     g = _cents(group, "value", "vc").sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
@@ -2065,18 +2049,14 @@ def _user_block_runs(group: pa.Table):
     return g, csum, run_start
 
 
-def user_running_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
+def user_running_totals(sf_dir: str) -> Dataset:
     """Per-user running value total in (ts, event_id) order — the
     window-function shape (SUM() OVER (PARTITION BY user ORDER BY ts)).
-    Exchanges by hash(user) % n_blocks (``block_exchange``) — a FIXED
-    block count, never one Ray group per user — then one segmented
-    cumsum per reduce partition: global cumsum
+    Exchanges by the user (``hash_exchange``) — never one Ray group per
+    user — then one segmented cumsum per reduce partition: global cumsum
     minus the prefix before each row's key-run start. Only the slim
     (user, ts, event_id, cents) columns shuffle; no per-user Python."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def add_block(t: pa.Table) -> pa.Table:
-        return t.append_column("__blk", _blk_int(t["user_id"], n_blocks))
 
     def running(group: pa.Table) -> pa.Table:
         g, csum, run_start = _user_block_runs(group)
@@ -2088,23 +2068,19 @@ def user_running_totals(sf_dir: str, n_blocks: int = 64) -> Dataset:
             "running_cents": pa.array(csum - base, pa.int64()),
         })
 
-    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
-                          "__blk", n_blocks, running)
+    return hash_exchange(ds, ["user_id"], running)
 
 
-def user_sliding_window(sf_dir: str, w: int = 4, n_blocks: int = 64) -> Dataset:
+def user_sliding_window(sf_dir: str, w: int = 4) -> Dataset:
     """Per-user SLIDING window sum — the last ``w`` events' value cents
     including the current one, in (ts, event_id) order: SUM() OVER
     (PARTITION BY user ORDER BY ts, event_id ROWS BETWEEN w-1 PRECEDING
     AND CURRENT ROW). Completes the window family (tumbling / hopping /
-    session / cumulative / sliding). Same fixed-block shape as
+    session / cumulative / sliding). Same keyed-exchange shape as
     user_running_totals; the window difference subtracts the cumsum at
     max(i - w, run_start - 1), clipping every window at its key-run
     boundary — fully vectorized across all users in the block."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def add_block(t: pa.Table) -> pa.Table:
-        return t.append_column("__blk", _blk_int(t["user_id"], n_blocks))
 
     def sliding(group: pa.Table) -> pa.Table:
         g, csum, run_start = _user_block_runs(group)
@@ -2117,8 +2093,7 @@ def user_sliding_window(sf_dir: str, w: int = 4, n_blocks: int = 64) -> Dataset:
             "sliding_sum_cents": pa.array(out, pa.int64()),
         })
 
-    return block_exchange(ds.map_batches(add_block, batch_format="pyarrow"),
-                          "__blk", n_blocks, sliding)
+    return hash_exchange(ds, ["user_id"], sliding)
 
 
 # ---------------------------------------------------------------------------

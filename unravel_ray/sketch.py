@@ -109,9 +109,12 @@ def hll_estimate(ds: Dataset, value_col: str, group_col: str) -> pa.Table:
     """Per-group distinct estimate from the register sketch.
 
     Returns (g, n_buckets_hit, distinct_est_micros) — one row per group.
-    The register fold is map_groups over <= 256-row groups; integer
+    The register fold is ``relational.map_groups`` over <= 256-row
+    groups; integer
     arithmetic end to end (see module docstring for the exact formula).
     """
+    from .relational import map_groups
+
     regs = hll_registers(ds, value_col, group_col)
 
     def fold(group: pa.Table) -> pa.Table:
@@ -128,7 +131,7 @@ def hll_estimate(ds: Dataset, value_col: str, group_col: str) -> pa.Table:
             "distinct_est_micros": pa.array([est], pa.int64()),
         })
 
-    rows = regs.groupby("g").map_groups(fold, batch_format="pyarrow").take_all()
+    rows = map_groups(regs, ["g"], fold).take_all()
     out = pa.Table.from_pylist(rows, schema=pa.schema([
         ("g", pa.string()), ("n_buckets_hit", pa.int64()),
         ("distinct_est_micros", pa.int64())]))
@@ -219,7 +222,7 @@ def quantile_sketch(ds: Dataset, value_col: str, group_col: str,
     relative error by construction).
     """
 
-    from .relational import keyed_aggregate
+    from .relational import keyed_aggregate, map_groups
 
     def bucketize(batch: pa.Table) -> pa.Table:
         v = batch[value_col].combine_chunks().to_numpy(zero_copy_only=False)
@@ -246,7 +249,7 @@ def quantile_sketch(ds: Dataset, value_col: str, group_col: str,
                                          pa.int64())
         return pa.table(cols)
 
-    return hist.groupby("g").map_groups(fold, batch_format="pyarrow")
+    return map_groups(hist, ["g"], fold)
 
 
 # ---------------------------------------------------------------------------

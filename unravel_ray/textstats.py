@@ -320,7 +320,7 @@ def pack_sequences(ds: Dataset, seq_len: int = 2048,
     """
     import ray
 
-    from .relational import _estimated_rows, keyed_aggregate
+    from .relational import _estimated_rows, keyed_aggregate, map_groups
 
     if seg_size is None:
         est = _estimated_rows(ds)
@@ -360,8 +360,7 @@ def pack_sequences(ds: Dataset, seq_len: int = 2048,
             "pack_offset": pa.array(starts % seq_len),
         })
 
-    return with_tok.groupby("segment").map_groups(
-        pack_segment, batch_format="pyarrow")
+    return map_groups(with_tok, ["segment"], pack_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +439,20 @@ def split_accounting(ds: Dataset, id_col: str = "doc_id") -> Dataset:
         [("n_docs", None, "count_all"), ("total_chars", "n_chars", "sum")])
 
 
-def inverted_index(ds: Dataset, min_df: int = 1, n_blocks: int = 64,
+def inverted_index(ds: Dataset, min_df: int = 1,
                    text_col: str = "text", id_col: str = "doc_id") -> Dataset:
     """Distributed inverted-index build: (word, df, postings) rows where
     ``postings`` is the comma-joined ascending doc-id list — the
     search-sink payload a retrieval system bulk-loads.
 
     Scale shape: per-batch DISTINCT (word, doc) pairs (Arrow split /
-    flatten / parent-indices kernels; crc32 block ids assigned once per
-    dictionary word, not per row) -> relational.block_exchange over a
-    FIXED block count (crc32(word) % n_blocks — the tiny-group
-    scheduling fix, see dedup.py banded grouping) -> one run-length
-    fold per reduce partition.
+    flatten / parent-indices kernels) -> relational.hash_exchange on the
+    word (many words per reduce partition, never one Ray group per
+    word) -> one run-length fold per reduce partition.
     The shuffle moves exactly the index's own payload (two slim columns)
-    once; per-task memory is bounded by the postings of one word-block,
-    so n_blocks scales with vocabulary, never with corpus row count.
+    once.
     """
-    import zlib
-
-    from .relational import block_exchange
+    from .relational import hash_exchange
 
     def pairs(batch: pa.Table) -> pa.Table:
         low = pc.utf8_lower(pc.fill_null(batch[text_col], ""))
@@ -467,18 +461,12 @@ def inverted_index(ds: Dataset, min_df: int = 1, n_blocks: int = 64,
         docs = batch[id_col].take(pc.list_parent_indices(lists))
         t = pa.table({"word": words, "doc": docs}).filter(
             pc.not_equal(words, ""))
-        d = t.group_by(["word", "doc"]).aggregate([]).replace_schema_metadata(None)
-        enc = pc.dictionary_encode(d["word"]).combine_chunks()
-        vocab = enc.dictionary.to_pylist()
-        blk = np.array([zlib.crc32(w.encode()) % n_blocks for w in vocab],
-                       np.int64) if vocab else np.empty(0, np.int64)
-        return d.append_column(
-            "blk", pa.array(blk[np.asarray(enc.indices)], pa.int64()))
+        return (t.group_by(["word", "doc"]).aggregate([])
+                .replace_schema_metadata(None))
 
     def fold(group: pa.Table) -> pa.Table:
         # cross-batch dupes survive the partial dedupe; final dedupe here
-        d = group.select(["word", "doc"]).group_by(
-            ["word", "doc"]).aggregate([])
+        d = group.group_by(["word", "doc"]).aggregate([])
         if d.num_rows == 0:
             return pa.table({"word": pa.array([], pa.string()),
                              "df": pa.array([], pa.int64()),
@@ -500,8 +488,8 @@ def inverted_index(ds: Dataset, min_df: int = 1, n_blocks: int = 64,
                          "df": pa.array(out_df, pa.int64()),
                          "postings": pa.array(out_p, pa.string())})
 
-    return block_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
-                          "blk", n_blocks, fold)
+    return hash_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                         ["word"], fold)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +707,7 @@ def decontaminate(ds: Dataset, eval_mod: int = 50, n: int = 3,
 # ---------------------------------------------------------------------------
 
 def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
-                 id_col: str = "doc_id", n_blocks: int = 64) -> Dataset:
+                 id_col: str = "doc_id") -> Dataset:
     """Cross-document duplicate-passage detection: for every k-word window
     in every document, mark the window a DUPLICATE when the identical
     window text occurs anywhere else in the corpus EARLIER in the global
@@ -735,8 +723,8 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
          A document's windows all live in its own row, so the per-doc
          combine is complete here — payload text never shuffles, and a
          gram repeated 10^6 times inside one doc ships ONE row;
-      2. `relational.block_exchange` on hash(gram) % n_blocks — a FIXED
-         block count, not one Ray group per distinct gram (group count
+      2. `relational.hash_exchange` on the gram — many grams per reduce
+         partition, not one Ray group per distinct gram (group count
          would equal corpus k-gram cardinality: billions at scale, a
          Python call + scheduling unit each — VERDICT r3 item 3).
          Equal-gram runs are recovered VECTORIZED inside each reduce
@@ -758,19 +746,18 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
     integer micro-ratio of removable windows).
     """
 
-    from .relational import _blk_str, block_exchange, keyed_aggregate
+    from .relational import hash_exchange, keyed_aggregate
 
     def occurrences(batch: pa.Table) -> pa.Table:
         _, flat, parent = _flat_words(batch[text_col])
         grams, gdocs = _ngrams(flat, parent, k)
         ids = batch[id_col].combine_chunks().to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "gram": grams,
             id_col: pa.array(ids[gdocs], pa.int64()),
         }).group_by(["gram", id_col]).aggregate(
             [([], "count_all")]
         ).rename_columns(["gram", id_col, "cnt"])
-        return t.append_column("blk", _blk_str(t["gram"], n_blocks))
 
     def window_totals(batch: pa.Table) -> pa.Table:
         _, flat, parent = _flat_words(batch[text_col])
@@ -818,7 +805,7 @@ def dup_passages(ds: Dataset, k: int = 5, text_col: str = "text",
         })
 
     occ = ds.map_batches(occurrences, batch_format="pyarrow")
-    dup = block_exchange(occ, "blk", n_blocks, dup_fold)
+    dup = hash_exchange(occ, ["gram"], dup_fold)
     tot = ds.map_batches(window_totals, batch_format="pyarrow")
 
     def ratio(t: pa.Table) -> pa.Table:
@@ -854,9 +841,9 @@ def domain_mixture(ds: Dataset, source_col: str = "source",
     Combiner-first end to end: ONE ``relational.keyed_aggregate`` folds
     per-doc token counts (tokens = whitespace words of lower(text), the
     corpus-wide convention) to (source, n_docs, n_tokens); the final
-    weight normalization runs inside a single
-    map_groups task over the per-source table (bounded by the domain
-    count — domains are inherently few; zero driver state).
+    weight normalization runs in ONE task over the whole per-source
+    table (``hash_exchange`` with no keys; bounded by the domain count —
+    domains are inherently few; zero driver state).
 
     Weights are exact integers: ``w_prop_micros`` = n_tokens * M //
     total_tokens; ``w_sqrt_micros`` = floor(sqrt(n_tokens)) * M //
@@ -865,7 +852,7 @@ def domain_mixture(ds: Dataset, source_col: str = "source",
     bit at any count below 2^52.
     """
 
-    from .relational import keyed_aggregate
+    from .relational import hash_exchange, keyed_aggregate
 
     def doc_tokens(batch: pa.Table) -> pa.Table:
         _, _, parent = _flat_words(batch[text_col])
@@ -892,11 +879,7 @@ def domain_mixture(ds: Dataset, source_col: str = "source",
     agg = keyed_aggregate(
         ds.map_batches(doc_tokens, batch_format="pyarrow"), ["source"],
         [("n_docs", None, "count_all"), ("n_tokens", "n_tokens", "sum")])
-    return agg.map_batches(
-        lambda b: b.append_column("_k", pa.array([0] * b.num_rows, pa.int64())),
-        batch_format="pyarrow",
-    ).groupby("_k").map_groups(
-        lambda g: weights(g.drop_columns(["_k"])), batch_format="pyarrow")
+    return hash_exchange(agg, [], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -942,27 +925,17 @@ def curate_corpus(ds: Dataset, text_col: str = "text",
         feats.map_batches(slim, batch_format="pyarrow"), id_col=id_col)
 
     # exact dedupe keeps the min-id row per text_hash. Combiner-first
-    # (<=1 row per (hash, batch) shuffles), then a FIXED block count —
-    # never one Ray group per distinct hash — with a vectorized sorted
-    # run-head pick per reduce partition.
-    from .relational import (_blk_str, _group_head_indices, block_exchange,
-                             keyed_aggregate)
+    # (<=1 row per (hash, batch) shuffles), then ``hash_exchange`` on the
+    # hash — never one Ray group per distinct hash — with the same
+    # vectorized sorted run-head pick per reduce partition.
+    from .relational import _partial_group_head, hash_exchange, keyed_aggregate
 
-    n_blocks = 64
+    def first(t: pa.Table) -> pa.Table:
+        return _partial_group_head(t, group_col="text_hash",
+                                   sort_keys=[(id_col, "ascending")], k=1)
 
-    def local_first(t: pa.Table) -> pa.Table:
-        g = t.sort_by([("text_hash", "ascending"), (id_col, "ascending")])
-        g = g.take(pa.array(_group_head_indices(g, "text_hash", 1)))
-        return g.append_column("__blk", _blk_str(g["text_hash"], n_blocks))
-
-    def block_first(group: pa.Table) -> pa.Table:
-        g = group.drop_columns(["__blk"]).sort_by(
-            [("text_hash", "ascending"), (id_col, "ascending")])
-        return g.take(pa.array(_group_head_indices(g, "text_hash", 1)))
-
-    keepers = block_exchange(
-        slimmed.map_batches(local_first, batch_format="pyarrow"),
-        "__blk", n_blocks, block_first)
+    keepers = hash_exchange(slimmed.map_batches(first, batch_format="pyarrow"),
+                            ["text_hash"], first)
     return keyed_aggregate(
         keepers, ["split", source_col],
         [("n_docs", None, "count_all"), ("n_tokens", "n_words", "sum")])
@@ -995,7 +968,7 @@ def sample_to_budget(ds: Dataset, total_tokens: int,
     """
     import ray
 
-    from .relational import _estimated_rows, keyed_aggregate
+    from .relational import _estimated_rows, keyed_aggregate, map_groups
 
     if seg_size is None:
         est = _estimated_rows(ds)
@@ -1052,8 +1025,7 @@ def sample_to_budget(ds: Dataset, total_tokens: int,
         })
 
     return keyed_aggregate(
-        with_tok.groupby([source_col, "segment"])
-        .map_groups(select, batch_format="pyarrow"),
+        map_groups(with_tok, [source_col, "segment"], select),
         [source_col],
         [("budget_tokens", "budget_tokens", "max"),
          ("n_selected", "n_selected", "sum"),
