@@ -646,8 +646,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_docs_per_lang": R.top_docs_per_lang,
         # ---- core reference-parity operators (M7/G2/J1/G6/O4/D1...) ----
         # rotated IN with the block_exchange rewrite (combiner-first
-        # word_counts_by_lang; hash_join's exchange and footer-derived
-        # side schemas)
+        # word_counts_by_lang; footer-derived join side schemas); the
+        # joins now co-group through relational.hash_exchange
         "word_counts_by_lang": R.word_counts_by_lang,
         "customers_without_orders": R.customers_without_orders,
         "orders_customer_full_join": R.orders_customer_full_join,

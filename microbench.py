@@ -23,6 +23,12 @@ receives them. ``_keyed_blk`` — the placement kernel every keyed
 exchange pays — runs over the same 100k rows with one string key
 (returnflag) and one int key (suppkey).
 
+``join_partition_sec`` is the kernel ``hash_join`` runs once per reduce
+partition: one Arrow left-outer ``Table.join`` on an int64 key over the
+share of ``orders_customer_join`` one of 4 partitions gets at sf0.1,
+37.5k orders rows (key, order key, price) against 3.75k customer rows
+(key, segment string), on Arrow's default thread pool as in the engine.
+
 Usage: ``python microbench.py`` — prints one JSON line. No Ray session
 (pure local kernels), safe to run any time.
 """
@@ -55,6 +61,29 @@ def _lineitem_block(n: int = 100_000):
         "disc_bp": pa.array(rng.integers(0, 11, n), pa.int64()),
         "tax_bp": pa.array(rng.integers(0, 9, n), pa.int64()),
     })
+
+
+def _join_partition(n_left: int = 37_500, n_right: int = 3_750):
+    """Deterministic orders/customer partition pair: every order's key is
+    one of the partition's customer keys."""
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.default_rng(1)
+    ckeys = np.sort(rng.choice(150_000, n_right, replace=False)).astype(np.int64)
+    orders = pa.table({
+        "o_orderkey": pa.array(np.arange(n_left, dtype=np.int64) * 4 + 1),
+        "custkey": pa.array(ckeys[rng.integers(0, n_right, n_left)]),
+        "price_cents": pa.array(rng.integers(90_000, 50_000_000, n_left),
+                                pa.int64()),
+    })
+    cust = pa.table({
+        "custkey": pa.array(ckeys),
+        "c_mktsegment": pa.array(np.array(
+            ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"]
+        )[rng.integers(0, 5, n_right)]),
+    })
+    return orders, cust
 
 
 def main() -> None:
@@ -104,6 +133,10 @@ def main() -> None:
                                  for i in range(0, li.num_rows, step)])
     t_kmerge, merged = _best(lambda p: _keyed_merge(p, keys, aggs), merge_in)
     t_kblk, _ = _best(lambda b: _keyed_blk(b, ["returnflag", "suppkey"]), li)
+    orders, cust = _join_partition()
+    t_join, joined = _best(lambda o: o.join(
+        cust, keys="custkey", join_type="left outer", right_suffix="_r",
+        coalesce_keys=True), orders)
     print(json.dumps({
         "metric": "single-thread hot-loop sec per 1500-doc synth block",
         "explode_sec": round(t_explode, 4),
@@ -123,6 +156,8 @@ def main() -> None:
         "keyed_partial_rows": part.num_rows,
         "keyed_merge_rows_in": merge_in.num_rows,
         "keyed_groups": merged.num_rows,
+        "join_partition_sec": round(t_join, 4),
+        "join_partition_rows": joined.num_rows,
         "host_probe_matmul_sec": probe,
     }))
 

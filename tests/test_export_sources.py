@@ -222,7 +222,7 @@ def _block_table(keys, n_blocks):
 
 def _keyed_sums():
     """A union-safe kernel (groups by its own key). It refuses empty or
-    schema-less input, which block_exchange must never hand it. Built in
+    schema-less input, which _block_exchange must never hand it. Built in
     a function so Ray ships it by value, not as a test-module import."""
     def keyed_sums(t: pa.Table) -> pa.Table:
         assert t.num_rows and "blk" in t.column_names
@@ -236,14 +236,14 @@ def _rows(ds) -> list:
 
 
 def test_block_exchange_matches_per_group_plan(ray_session):
-    """block_exchange returns, row for row, what the groupby(key) +
+    """_block_exchange returns, row for row, what the groupby(key) +
     map_groups plan it replaced returns: with more partitions than block
     ids present (empty partitions never reach the kernel), with n_blocks
     below the session's 4 CPUs, and with several block ids per
     partition."""
     import numpy as np
 
-    from unravel_ray.relational import block_exchange, exchange_partitions
+    from unravel_ray.relational import _block_exchange, exchange_partitions
 
     rng = np.random.default_rng(5)
     cases = {
@@ -258,7 +258,7 @@ def test_block_exchange_matches_per_group_plan(ray_session):
         ds = ray.data.from_arrow([tbl.slice(0, 100), tbl.slice(100)])
         want = ds.groupby("blk").map_groups(_keyed_sums(),
                                             batch_format="pyarrow")
-        got = block_exchange(ds, "blk", n_blocks, _keyed_sums())
+        got = _block_exchange(ds, "blk", n_blocks, _keyed_sums())
         assert _rows(got) == _rows(want), name
 
     def ids_seen(t: pa.Table) -> pa.Table:
@@ -266,26 +266,29 @@ def test_block_exchange_matches_per_group_plan(ray_session):
                          "n_rows": [t.num_rows]})
 
     tbl = _block_table(cases["several_ids_per_partition"][1], 64)
-    calls = block_exchange(ray.data.from_arrow(tbl), "blk", 64,
-                           ids_seen).take_all()
+    calls = _block_exchange(ray.data.from_arrow(tbl), "blk", 64,
+                            ids_seen).take_all()
     # one call per non-empty partition, each with whole block-id groups
     assert len(calls) == 4
     assert sum(c["n_rows"] for c in calls) == tbl.num_rows
     assert sum(c["n_ids"] for c in calls) == len(set(tbl["blk"].to_pylist()))
     assert all(c["n_ids"] > 1 for c in calls)
-    # an explicit partition count of 1 still runs one exchange, unsampled
-    one = block_exchange(ray.data.from_arrow(tbl), "blk", 64, ids_seen,
-                         n_partitions=1).take_all()
+    # a single block id gives one partition, which still runs one
+    # exchange, unsampled
+    tbl = _block_table(cases["several_ids_per_partition"][1], 1)
+    one = _block_exchange(ray.data.from_arrow(tbl), "blk", 1,
+                          ids_seen).take_all()
+    assert exchange_partitions(1) == 1
     assert [c["n_rows"] for c in one] == [tbl.num_rows]
 
 
 def test_block_exchange_empty_input(ray_session):
     """An input with no rows gives no kernel call and no rows."""
-    from unravel_ray.relational import block_exchange
+    from unravel_ray.relational import _block_exchange
 
     empty = _block_table([], 8)
-    assert block_exchange(ray.data.from_arrow(empty), "blk", 8,
-                          _keyed_sums()).take_all() == []
+    assert _block_exchange(ray.data.from_arrow(empty), "blk", 8,
+                           _keyed_sums()).take_all() == []
 
 
 def test_orders_cust_side_schemas_match_probe(ray_session, tmp_path):
@@ -499,24 +502,6 @@ def test_docx_export_is_valid_ooxml(ray_session, tmp_path):
             assert r["file_name"].endswith(".docx")
         else:
             assert r["docx"] == b""
-
-
-def test_derive_join_buckets_scales_with_rows(ray_session):
-    """Bucket count must grow with the estimated input so per-bucket task
-    memory stays flat at corpus scale; unknown sizes keep the floor."""
-    import ray.data
-
-    from unravel_ray.relational import derive_join_buckets
-
-    small = ray.data.range(1000)
-    big = ray.data.range(50_000_000)  # metadata count, nothing executes
-    assert derive_join_buckets(small, small) == 32
-    assert derive_join_buckets(big, small) == 200  # 50M / 250k
-    assert derive_join_buckets(small, big, target_rows_per_bucket=1_000_000) == 50
-    # transforms hide the metadata count -> floor unless a hint is passed
-    hidden = big.map_batches(lambda t: t, batch_format="pyarrow")
-    assert derive_join_buckets(hidden, small) == 32
-    assert derive_join_buckets(hidden, small, est_rows=10_000_000) == 40
 
 
 def test_render_spans_column_equals_row_form():

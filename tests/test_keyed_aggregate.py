@@ -204,14 +204,91 @@ def test_hash_exchange_without_keys_calls_fn_once(ray_session):
     assert out == [{"rows": 500, "cols": "v"}]
 
 
+def _cogroup_inputs():
+    """Two inputs with different columns and types; the right one holds
+    a single key, so most reduce partitions get none of its rows. Both
+    carry an ``lv`` column, of different types."""
+    import ray.data
+
+    n = 200
+    left = pa.table({"k": pa.array([i % 50 for i in range(n)], pa.int64()),
+                     "lv": pa.array([f"l{i}" for i in range(n)], pa.string()),
+                     "lx": pa.array([i / 4 for i in range(n)], pa.float64())})
+    right = pa.table({
+        "k": pa.array([7, 7, 7], pa.int64()),
+        "lv": pa.array([70, 71, 72], pa.int64()),
+        "rv": pa.array([1, 2, 3], pa.int32()),
+        "rd": pa.array([datetime.date(2024, 1, d) for d in (1, 2, 3)],
+                       pa.date32())})
+    return (ray.data.from_arrow([left.slice(i, 50) for i in range(0, n, 50)]),
+            ray.data.from_arrow(right), left, right)
+
+
+def test_cogroup_hands_each_input_its_own_schema(ray_session):
+    """The list form of hash_exchange calls fn with one table per input,
+    in that input's schema, an empty one where the input has no rows in
+    the partition."""
+    from unravel_ray.relational import AGG_BLOCKS, exchange_partitions, hash_exchange
+
+    lds, rds, left, right = _cogroup_inputs()
+
+    def seen(*tables: pa.Table) -> pa.Table:
+        lt, rt = tables
+        return pa.table({"n_in": [len(tables)], "nl": [lt.num_rows],
+                         "nr": [rt.num_rows],
+                         "lok": [lt.schema == left.schema],
+                         "rok": [rt.schema == right.schema],
+                         "lkeys": [len(set(lt["k"].to_pylist()))]})
+
+    calls = hash_exchange([(lds, left.schema), (rds, right.schema)], ["k"],
+                          seen).take_all()
+    assert exchange_partitions(AGG_BLOCKS) == 4
+    assert len(calls) > 2
+    assert all(c["n_in"] == 2 and c["lok"] and c["rok"] for c in calls)
+    assert sum(c["nl"] for c in calls) == left.num_rows
+    assert sorted(c["nr"] for c in calls)[-2:] == [0, right.num_rows]
+    assert sum(c["lkeys"] for c in calls) == 50
+
+
+def test_hash_join_outer_over_cogroup_types(ray_session):
+    """left / full hash_join over inputs of different columns emit the
+    right columns in their own types, null where unmatched, and every
+    output block has one schema."""
+    import ray
+
+    from unravel_ray.relational import hash_join
+
+    lds, rds, left, right = _cogroup_inputs()
+    for how in ("left", "full"):
+        for schemas in (None, (left.schema, right.schema)):
+            blocks = [b for b in ray.get(hash_join(
+                lds, rds, on="k", how=how, schemas=schemas).to_arrow_refs())
+                if b.num_rows]
+            assert len(blocks) > 1
+            assert all(b.schema == blocks[0].schema for b in blocks)
+            got = pa.concat_tables(blocks)
+            assert got.column_names == ["k", "lv", "lx", "lv_r", "rv", "rd"]
+            assert [got.schema.field(c).type for c in ("lv_r", "rv", "rd")] \
+                == [pa.int64(), pa.int32(), pa.date32()]
+            assert got.num_rows == 196 + 4 * 3  # key 7: 4 left x 3 right
+            hit = got.filter(pc.equal(got["k"], 7))
+            assert sorted(hit["rv"].to_pylist()) == [1] * 4 + [2] * 4 + [3] * 4
+            miss = got.filter(pc.not_equal(got["k"], 7))
+            assert all(miss[c].null_count == miss.num_rows
+                       for c in ("lv_r", "rv", "rd"))
+
+
 def test_no_ray_groupby_and_one_exchange_site():
     """Every keyed shuffle goes through relational.hash_exchange: no Ray
-    groupby or map_groups call in the engine, and block_exchange is
-    called only by hash_exchange and hash_join."""
+    groupby or map_groups call in the engine, and _block_exchange is
+    called only by hash_exchange (hash_join and asof_join co-group
+    through it)."""
     import ast
     import glob
     import os
     import re
+
+    from unravel_ray import relational
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = sorted(glob.glob(os.path.join(root, "unravel_ray", "*.py")))
@@ -224,5 +301,6 @@ def test_no_ray_groupby_and_one_exchange_site():
     tree = ast.parse(open(os.path.join(root, "unravel_ray", "relational.py")).read())
     callers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and getattr(node.func, "id", None) == "block_exchange"}
-    assert callers == {"hash_exchange", "hash_join"}
+               and getattr(node.func, "id", None) == "_block_exchange"}
+    assert callers == {"hash_exchange"}
+    assert not hasattr(relational, "block_exchange")

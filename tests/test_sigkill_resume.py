@@ -5,10 +5,12 @@ their own Ray sessions (the pytest session's Ray is untouched).
 
 The checkpoint runs one streaming execution per call and commits a
 partition (one input file) as soon as its rows are accounted for, so
-commits arrive in bursts. At 8 files a burst often committed every
-partition before the kill landed; at 24 files of 10 docs the kill after
-the third commit landed with 7-9 of 24 committed in trial runs on 4
-CPUs.
+commits arrive in bursts: a kill sent from outside after polling the
+manifest landed either after the first burst or after the last one, and
+then found all 24 partitions committed. So the runner kills itself: a
+wrapper around ``checkpoint._commit_manifest`` (``on_commit`` looks it
+up as a module global) sends the runner's own process a real SIGKILL
+right after the manifest row of the third commit is written.
 
 Each runner starts its Ray session under its own short temp dir, and
 after every run the test stops exactly the processes of that session
@@ -22,7 +24,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 
 import pytest
 
@@ -31,15 +32,27 @@ N_DOCS = 240
 N_FILES = 24
 
 RUNNER = """
-import glob, os, sys, ray
+import glob, os, signal, sys, ray
 ray.init(address="local", num_cpus=4, include_dashboard=False,
          logging_level="ERROR", _temp_dir=sys.argv[3])
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
+from unravel_ray import checkpoint
 from unravel_ray.checkpoint import run_with_checkpoint_files
 from unravel_ray.config import PipelineConfig
 
-src_dir, out_dir = sys.argv[1], sys.argv[2]
+src_dir, out_dir, kill_after = sys.argv[1], sys.argv[2], int(sys.argv[4])
+if kill_after:
+    commit, rows = checkpoint._commit_manifest, []
+
+    def commit_then_kill(out, row):
+        commit(out, row)
+        rows.append(row)
+        if len(rows) == kill_after:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    checkpoint._commit_manifest = commit_then_kill
+
 cfg = PipelineConfig(ocr_concurrency=1, explode_batch_size=64)
 files = glob.glob(os.path.join(src_dir, "*.parquet"))
 res = run_with_checkpoint_files(files, out_dir, cfg=cfg)
@@ -61,13 +74,6 @@ def _write_shards(src_dir):
                        os.path.join(src_dir, f"shard-{i:02d}.parquet"))
 
 
-def _n_committed(out_dir):
-    mdir = os.path.join(out_dir, "_manifest")
-    if not os.path.isdir(mdir):
-        return 0
-    return len([f for f in os.listdir(mdir) if f.startswith("part-")])
-
-
 def _stop_session(temp_dir):
     """SIGKILL every process whose command line names ``temp_dir`` (the
     runner, its GCS, raylet and agents) and their children (workers
@@ -84,29 +90,28 @@ def _stop_session(temp_dir):
     shutil.rmtree(temp_dir, ignore_errors=True)
 
 
-def _run(src_dir, out_dir, kill_after_parts=None, timeout=420):
+def _run(src_dir, out_dir, kill_after_parts=0, timeout=420):
+    """Run the runner to its end, or (``kill_after_parts`` > 0) until it
+    SIGKILLs itself after that many commits."""
     # AF_UNIX socket paths stop at 107 bytes: keep the session dir short
     ray_tmp = tempfile.mkdtemp(prefix="ray-", dir="/tmp")
     env = dict(os.environ, PYTHONPATH=REPO)
     try:
-        p = subprocess.Popen([sys.executable, "-c", RUNNER, src_dir, out_dir, ray_tmp],
+        p = subprocess.Popen([sys.executable, "-c", RUNNER, src_dir, out_dir,
+                              ray_tmp, str(kill_after_parts)],
                              env=env, cwd=REPO, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
-        if kill_after_parts is None:
+        try:
             out, err = p.communicate(timeout=timeout)
-            assert p.returncode == 0, err[-2000:]
-            return out
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            if _n_committed(out_dir) >= kill_after_parts:
-                p.send_signal(signal.SIGKILL)
-                p.wait(timeout=30)
-                return None
-            if p.poll() is not None:
-                pytest.fail("runner finished before the kill threshold was reached")
-            time.sleep(0.05)
-        p.kill()
-        pytest.fail("runner never reached the kill threshold")
+        except subprocess.TimeoutExpired:
+            p.kill()
+            pytest.fail("runner did not exit in time")
+        if kill_after_parts:
+            assert p.returncode == -signal.SIGKILL, \
+                f"runner was not SIGKILLed ({p.returncode}): {err[-2000:]}"
+            return None
+        assert p.returncode == 0, err[-2000:]
+        return out
     finally:
         _stop_session(ray_tmp)
 

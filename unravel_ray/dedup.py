@@ -22,7 +22,7 @@ every exchange is ``relational.hash_exchange`` on the query's group key
 * Connected components: driver union-find while the candidate pair set is
   small (max_pairs guard); past the guard minhash_dedup auto-degrades to
   `propagate_min_labels_distributed` (zero driver state) with labels
-  applied through the bucketed hash_join.
+  applied through the co-grouped hash_join.
 * Embedding near-dup: the small side is broadcast (ray.put once) and each
   batch does one numpy matmul against it; at true 100 TB scale swap in the
   LSH-bucketed variant in ann.py.
@@ -460,7 +460,7 @@ def minhash_dedup(ds: Dataset, threshold: float = 0.8,
     union-find (exact transitive closure, cheapest at typical near-dup
     densities). Past the guard it DEGRADES AUTOMATICALLY — mirroring
     embedding_neardup — to `propagate_min_labels_distributed` (zero
-    driver state) with the labels applied through the bucketed
+    driver state) with the labels applied through the co-grouped
     `hash_join`, so no path ever materializes the pair set on the driver.
     """
     id_col = kw.get("id_col", "doc_id")
@@ -496,7 +496,7 @@ def minhash_dedup(ds: Dataset, threshold: float = 0.8,
 def _minhash_dedup_distributed(ds: Dataset, pairs_ds: Dataset,
                                id_col: str) -> Dataset:
     """Scale path for minhash_dedup: connected components with no driver
-    state, labels applied via the bucketed co-group hash_join (left join;
+    state, labels applied via the co-grouped hash_join (left join;
     unlabeled docs are their own cluster)."""
     from .relational import hash_join
 

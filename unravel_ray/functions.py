@@ -25,10 +25,6 @@ def truncate_text(text: str | None, max_len: int) -> str | None:
     return text[:max_len]
 
 
-def truncate_column(col: pa.Array, max_len: int) -> pa.Array:
-    return pc.utf8_slice_codeunits(col, 0, max_len)
-
-
 # ---------------------------------------------------------------------------
 # M12 — LLM JSON response parser (AiClassificationService.java:152-186)
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Vectorized 64-bit string hashing over Arrow buffers.
 
-Every keyed exchange (``relational._key_hash``: hash_exchange and
-hash_join) needs a partitioning hash over string keys that is
+Every keyed exchange (``relational._key_hash`` in hash_exchange, which
+hash_join co-groups through) needs a partitioning hash over string keys that is
 
   * a pure function of the VALUE (same bucket on both join sides, at any
     parallelism, in any batch) — never of position or batch layout;

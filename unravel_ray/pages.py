@@ -22,10 +22,6 @@ class PageSelectionError(ValueError):
     """Invalid page selection — surfaces as status='failed_validation'."""
 
 
-def has_selection(start_page, end_page, pages) -> bool:
-    return start_page is not None or end_page is not None or bool(pages)
-
-
 def resolve_pages(
     total_pages: int,
     start_page: int | None = None,

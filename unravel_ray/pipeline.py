@@ -31,7 +31,6 @@ import ray.data
 from ray.data import Dataset
 
 from .config import PipelineConfig
-from .schema import EXTRACTED_SCHEMA
 from .stages import OcrStage, explode_extract, finalize_block, ocr_task
 from .synth import interleave_documents_batch
 
@@ -234,11 +233,6 @@ def build_rollup(extracted: Dataset) -> Dataset:
     return agg.map_batches(decide, batch_format="pyarrow")
 
 
-def read_docs_corpus(path: str) -> Dataset:
-    """Read an interleaved docs table from parquet (the Lance-analog store)."""
-    return ray.data.read_parquet(path)
-
-
 def documents_to_docs(sf_dir: str, cfg: PipelineConfig | None = None) -> Dataset:
     """Driver testdata bridge: documents.parquet -> interleaved DOCS rows.
 
@@ -313,6 +307,3 @@ def run_flagship(sf_dir: str, cfg: PipelineConfig | None = None) -> Dataset:
         documents_to_docs(sf_dir, cfg), cfg, flagship_publish_dir(sf_dir, cfg)
     )
 
-
-def extracted_schema() -> pa.Schema:
-    return EXTRACTED_SCHEMA

@@ -119,7 +119,7 @@ def lineitem_pricing(sf_dir: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# the fixed-block exchange under hash_exchange and hash_join
+# the fixed-block exchange under hash_exchange
 # ---------------------------------------------------------------------------
 
 def _session_cpus() -> int:
@@ -163,20 +163,30 @@ def read_parquet_sized(path: str, columns: list[str] | None = None) -> Dataset:
     return ray.data.read_parquet(path, columns=columns, override_num_blocks=n)
 
 
-def block_exchange(ds: Dataset, key: str, n_ids: int, fn,
-                   n_partitions: int | None = None) -> Dataset:
+def _estimated_rows(ds: Dataset) -> int | None:
+    """Metadata row count when the plan knows it (file-backed reads and
+    row-preserving chains) — never executes the plan."""
+    try:
+        n = ds._meta_count()
+        return int(n) if n is not None else None
+    except Exception:
+        return None
+
+
+def _block_exchange(ds: Dataset, key: str, n_ids: int, fn) -> Dataset:
     """Co-locate the rows of each int block id in ``key`` (values in
-    ``[0, n_ids)``) and run ``fn`` once per reduce partition.
+    ``[0, n_ids)``) and run ``fn`` once per reduce partition. Private to
+    ``hash_exchange``.
 
     One sort exchange with explicit cut points: nothing is sampled, the
-    block ids split into ``n_partitions`` contiguous ranges (default
-    ``exchange_partitions(n_ids)``), a sort reduce emits one block per
-    range and ``batch_size=None`` hands that block to ``fn`` whole — so
-    ``fn`` sees whole block-id groups, several of them per call, and must
-    treat its input as a union of groups (every kernel here sorts or
-    groups by its own key). Empty partitions (Ray emits them without a
-    schema) never reach ``fn``; they produce no output block."""
-    n = n_partitions or exchange_partitions(n_ids)
+    block ids split into ``exchange_partitions(n_ids)`` contiguous
+    ranges, a sort reduce emits one block per range and
+    ``batch_size=None`` hands that block to ``fn`` whole — so ``fn`` sees
+    whole block-id groups, several of them per call, and must treat its
+    input as a union of groups (every kernel here sorts or groups by its
+    own key). Empty partitions (Ray emits them without a schema) never
+    reach ``fn``; they produce no output block."""
+    n = exchange_partitions(n_ids)
     # an empty cut list makes Ray sample boundaries, so a single partition
     # cuts at n_ids: every id falls below it
     cuts = [i * n_ids // n for i in range(1, n)] or [n_ids]
@@ -233,29 +243,77 @@ def _keyed_blk(t: pa.Table, keys: list[str]) -> pa.Array:
     return pa.array((_splitmix(h) % np.uint64(AGG_BLOCKS)).astype(np.int32))
 
 
-def hash_exchange(ds: Dataset | list[Dataset], keys: list[str], fn) -> Dataset:
+def hash_exchange(ds: Dataset | list[tuple[Dataset, pa.Schema]],
+                  keys: list[str], fn) -> Dataset:
     """Co-locate the rows of each distinct ``keys`` tuple and run ``fn``
     once per reduce partition, on a table of whole key groups (several
     per call; the block id is dropped). ``keys=[]`` sends every row to
-    one partition, so ``fn`` runs once over the whole input. A list of
-    datasets (one schema) is co-grouped: each is placed on its own and
-    the placed datasets are unioned.
+    one partition, so ``fn`` runs once over the whole input.
+
+    Co-group: ``ds`` may be a list of ``(dataset, schema)`` inputs, each
+    with its own columns; the Arrow ``schema`` names the columns the
+    input contributes and their types, and every input carries ``keys``. ``fn`` then gets one table per input, ``fn(t0, t1, ...)``,
+    holding that input's rows of the same key groups under its own
+    column names and types; an input with no rows in a partition comes
+    as an empty table of its schema. The exchange runs over one union
+    schema built here from the inputs' schemas (a column of the same
+    name and type shares a slot, a ``__in`` column tags the input, the
+    other inputs' slots are null): Ray's sort reduce would pad unequal
+    schemas itself, but it warns that the reduce sees a changed schema,
+    and it drops an input's columns from a partition that got none of
+    its rows.
 
     Rows are placed by ``_keyed_blk`` into the fixed ``AGG_BLOCKS``
-    block-id space (a ``batch_size=None`` map, so it fuses with a
-    caller's whole-block map; a placement after a union would run as
-    one more task per block) and moved by ``block_exchange``."""
-    def place(t: pa.Table) -> pa.Table:
-        return t.append_column("__blk", _keyed_blk(t, keys))
+    block-id space (a ``batch_size=None`` map per input, so it fuses with
+    a caller's whole-block map; a placement after a union would run as
+    one more task per block) and moved by ``_block_exchange`` into
+    ``exchange_partitions(AGG_BLOCKS)`` reduce partitions."""
+    if not isinstance(ds, list):
+        def place(t: pa.Table) -> pa.Table:
+            return t.append_column("__blk", _keyed_blk(t, keys))
 
-    def run(part: pa.Table) -> pa.Table:
-        return fn(part.drop_columns(["__blk"]))
+        def run(part: pa.Table) -> pa.Table:
+            return fn(part.drop_columns(["__blk"]))
 
-    run.__name__ = getattr(fn, "__name__", "hash_exchange")
-    first, *rest = [d.map_batches(place, batch_format="pyarrow", batch_size=None)
-                    for d in (ds if isinstance(ds, list) else [ds])]
-    placed = first.union(*rest) if rest else first
-    return block_exchange(placed, "__blk", AGG_BLOCKS, run)
+        run.__name__ = getattr(fn, "__name__", "hash_exchange")
+        placed = ds.map_batches(place, batch_format="pyarrow", batch_size=None)
+        return _block_exchange(placed, "__blk", AGG_BLOCKS, run)
+
+    schemas = [s for _, s in ds]
+    fields = {"__blk": pa.int32(), "__in": pa.int8()}
+    slots = []  # per input: the union column that holds each of its columns
+    for i, schema in enumerate(schemas):
+        slots.append([])
+        for f in schema:
+            slot = f.name if fields.setdefault(f.name, f.type) == f.type \
+                else f"__{i}.{f.name}"
+            fields[slot] = f.type
+            slots[-1].append(slot)
+    union = pa.schema(list(fields.items()))
+
+    def placer(i: int):
+        def place(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            cols = dict(zip(slots[i], (t[c] for c in schemas[i].names)))
+            cols["__blk"] = _keyed_blk(t, keys)
+            cols["__in"] = pa.array(np.full(n, i, np.int8))
+            return pa.Table.from_arrays(
+                [cols.get(f.name, pa.nulls(n, f.type)) for f in union],
+                schema=union)
+        return place
+
+    def cogroup(part: pa.Table) -> pa.Table:
+        tag = part["__in"]
+        return fn(*(part.filter(pc.equal(tag, i)).select(slots[i])
+                    .rename_columns(schema.names)
+                    for i, schema in enumerate(schemas)))
+
+    cogroup.__name__ = getattr(fn, "__name__", "hash_exchange")
+    first, *rest = [d.map_batches(placer(i), batch_format="pyarrow",
+                                  batch_size=None)
+                    for i, (d, _) in enumerate(ds)]
+    return _block_exchange(first.union(*rest) if rest else first,
+                           "__blk", AGG_BLOCKS, cogroup)
 
 
 def _run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
@@ -803,9 +861,8 @@ def orders_by_segment(sf_dir: str) -> Dataset:
     (J1 files x ocr_data hash join, GetCollectionResultImpl.java:36-59).
 
     The build side (customer) is broadcast as a dict — at 100 TB the
-    equivalent is a broadcast of the small dimension or an explicit
-    bucketed hash join; documented trade-off, see dedup.py for the
-    bucketed pattern.
+    equivalent is a broadcast of the small dimension or the co-grouped
+    ``hash_join``; documented trade-off.
     """
     import pyarrow.parquet as pq
 
@@ -1155,7 +1212,7 @@ def docs_with_ocr_status(sf_dir: str) -> Dataset:
     so the build side is computed MAP-SIDE inside the batch (vectorized
     if_else), with no driver-side table read and no broadcast at all. The
     genuine small-side broadcast join lives in customers_by_region /
-    orders_by_segment; the bucketed hash-join shape is in dedup.py.
+    orders_by_segment; the co-grouped shape is ``hash_join``.
     """
 
     def _mod(col, m: int):
@@ -1389,79 +1446,37 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# generic bucketed (co-group) hash join — the non-broadcast join shape
+# co-grouped hash join — the non-broadcast join shape
 # ---------------------------------------------------------------------------
 
-def _estimated_rows(ds: Dataset) -> int | None:
-    """Metadata row count when the plan knows it (file-backed reads and
-    row-preserving chains) — never executes the plan."""
-    try:
-        n = ds._meta_count()
-        return int(n) if n is not None else None
-    except Exception:
-        return None
-
-
-_JOIN_BUCKET_ROWS = 250_000  # hash_join's target rows per bucket
-
-
-def derive_join_buckets(left: Dataset, right: Dataset,
-                        target_rows_per_bucket: int = _JOIN_BUCKET_ROWS,
-                        est_rows: int | None = None,
-                        min_buckets: int = 32) -> int:
-    """Bucket count sized to the DATA: each co-grouped bucket materializes
-    ~rows/n_buckets of both sides in one task, so a fixed count turns into
-    multi-GB tasks at corpus scale. Estimate = caller hint, else the larger
-    side's metadata count; unknown sizes keep the floor (the pre-r3
-    behavior) rather than guessing."""
-    if est_rows is None:
-        sizes = [s for s in (_estimated_rows(left), _estimated_rows(right))
-                 if s is not None]
-        est_rows = max(sizes) if sizes else None
-    if est_rows is None:
-        return min_buckets
-    return max(min_buckets, -(-est_rows // target_rows_per_bucket))
+_ARROW_HOW = {"inner": "inner", "left": "left outer", "semi": "left semi",
+              "anti": "left anti", "right": "right outer",
+              "full": "full outer"}
 
 
 def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
-              right_suffix: str = "_r", est_rows: int | None = None,
-              hot_keys=None, n_salts: int = 16,
+              right_suffix: str = "_r", hot_keys=None, n_salts: int = 16,
               schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
-    """Distributed BUCKETED hash join with no driver/broadcast state —
-    both sides shuffle by hash(key) % n_buckets and meet in co-located
-    bucket groups, where Arrow's C++ hash join does the actual matching
-    (the shape the broadcast joins in customers_by_region /
-    orders_by_segment degrade to when the build side stops being small).
+    """Distributed hash join with no driver or broadcast state: the two
+    sides co-grouped on ``on`` by ``hash_exchange``, then one Arrow
+    ``Table.join`` per reduce partition (the shape the broadcast joins
+    in customers_by_region / orders_by_segment degrade to when the build
+    side stops being small).
 
-    ``how``: inner / left / semi / anti / right / full. Outer modes
-    compose per-bucket because a key value hashes to exactly ONE bucket
-    on both sides — a row unmatched in its bucket is unmatched globally;
-    null keys never match (SQL semantics) and surface unmatched from
-    whichever bucket their placement hash chose. right/full coalesce the
-    key column (Arrow emits the right side's key for right-unmatched
-    rows). Salting is incompatible with right/full (see below).
+    ``how``: inner / left / semi / anti / right / full, through Arrow's
+    inner / left outer / left semi / left anti / right outer / full
+    outer; duplicate keys give the cartesian of their matches. A key
+    value lands in one partition on both sides, so a row unmatched in
+    its partition is unmatched globally and every mode composes per
+    partition. Null keys never match (SQL semantics); they surface
+    unmatched from whichever partition their placement hash chose.
+    right/full coalesce the key column. Semi and anti ship only the key
+    of the right side and return the left columns.
 
-    Implementation: tag each side, union into one superset-schema stream
-    (missing columns null), ``block_exchange`` on ``__bucket`` co-locates
-    whole hash buckets, and the kernel splits the sides back out and runs
-    ``pyarrow.Table.join`` once per reduce partition (a union of whole
-    buckets joins exactly like each bucket alone, since a key lives in
-    one bucket on both sides; any of the six modes via Arrow's
-    inner / left outer / left semi / left anti / right outer /
-    full outer; duplicate keys produce the cartesian of matches
-    natively). Bucketing instead of per-key
-    grouping keeps the group count bounded regardless of key
-    cardinality — per-group scheduling overhead doesn't scale with keys.
-    The bucket count comes from the data (``derive_join_buckets``:
-    ``max(32, est_rows / 250k)``), so per-bucket task memory stays ~flat
-    as inputs grow; pass ``est_rows`` when transforms upstream hide the
-    metadata count. Reduce partitions: one per CPU, but never fewer than
-    ``ceil(est_rows / 250k)``. Because of that data-derived bucket count
-    and the salts, it calls ``block_exchange`` itself rather than
-    ``hash_exchange``; a key's bucket is the shared ``_key_hash`` plus
-    one salt mix.
-    Only the joined columns ride the shuffle — prune with select_columns
-    before calling. Right-side columns colliding with left names get
+    The partition count is ``hash_exchange``'s, one per session CPU up
+    to ``AGG_BLOCKS``; ROADMAP item 8 adds a byte floor there. Only the
+    joined columns ride the exchange — prune with select_columns before
+    calling. Right-side columns colliding with left names get
     ``right_suffix``. ``schemas=(left, right)`` passes the sides' Arrow
     schemas when the caller knows them; otherwise each side's
     ``Dataset.schema()`` runs a ``limit=1`` execution of its plan.
@@ -1475,124 +1490,64 @@ def hash_join(left: Dataset, right: Dataset, on: str, how: str = "inner",
     matures.
 
     Skew: pass ``hot_keys`` (any iterable of key values — e.g. from
-    ``detect_hot_keys`` or table_stats frequency estimates) to SALT them:
-    probe-side (left) rows of a hot key are sprayed across ``n_salts``
-    buckets and the matching build-side (right) rows are replicated once
-    per salt, so no single bucket materializes a hot key's full probe
-    mass. Output is row-identical to the unsalted join (each left row
-    meets exactly one copy of each matching right row). Without
-    ``hot_keys`` a hot key still lands in one bucket.
+    ``detect_hot_keys`` or table_stats frequency estimates) to SALT them
+    with a ``__salt`` key column on both sides: probe-side (left) rows of
+    a hot key are sprayed over ``n_salts`` salt values and the matching
+    build-side (right) rows are replicated once per salt, and the join
+    keys are ``[on, "__salt"]``. No partition then holds a hot key's
+    full probe mass, and the output is row-identical to the unsalted
+    join (each left row meets exactly one copy of each matching right
+    row). Without ``hot_keys`` a hot key still lands in one partition.
     """
-    if how not in ("inner", "left", "semi", "anti", "right", "full"):
+    if how not in _ARROW_HOW:
         raise ValueError(f"unsupported how={how!r}")
     hot_list = list(hot_keys) if hot_keys is not None else []
     if hot_list and how in ("right", "full"):
         # build-side salting replicates hot right rows once per salt; a
-        # replica with no probe match in its salt bucket would surface
-        # n_salts times as an unmatched right row under right/full outer.
-        # An EMPTY hot set is a no-op and stays valid (detect_hot_keys
+        # replica with no probe match in its salt would surface n_salts
+        # times as an unmatched right row under right/full outer. An
+        # EMPTY hot set is a no-op and stays valid (detect_hot_keys
         # composes: it normally returns []).
         raise ValueError(f"hot_keys salting is not valid with how={how!r}")
-    if est_rows is None:
-        sizes = [s for s in (_estimated_rows(left), _estimated_rows(right))
-                 if s is not None]
-        est_rows = max(sizes) if sizes else None
-    n_buckets = derive_join_buckets(left, right, est_rows=est_rows)
-    n_parts = exchange_partitions(n_buckets)
-    if est_rows is not None:
-        n_parts = min(n_buckets, max(n_parts, -(-est_rows // _JOIN_BUCKET_ROWS)))
-    arrow_how = {"inner": "inner", "left": "left outer",
-                 "semi": "left semi", "anti": "left anti",
-                 "right": "right outer", "full": "full outer"}[how]
     # pa.Schema or ray.data.Schema: both have .names + .types (arrow)
-    lschema, rschema = schemas or (left.schema(), right.schema())
-    lcols = list(lschema.names)
-    rcols = [c for c in rschema.names if c != on]
-    rout = [c + right_suffix if c in lcols else c for c in rcols]
-    rtypes = dict(zip(rschema.names, rschema.types))
-    ltypes = dict(zip(lschema.names, lschema.types))
+    lschema, rschema = (pa.schema(list(zip(s.names, s.types)))
+                        for s in (schemas or (left.schema(), right.schema())))
     if how in ("semi", "anti"):
-        rcols, rout = [], []  # existence filters keep only left columns
-    union_schema = pa.schema(
-        [pa.field("__side", pa.int8()), pa.field("__bucket", pa.int32())]
-        + [pa.field(c, ltypes[c]) for c in lcols]
-        + [pa.field(o, rtypes[c]) for c, o in zip(rcols, rout)]
-    )
-    hot_arr = pa.array(hot_list).cast(ltypes[on]) if hot_list else None
+        rschema = pa.schema([rschema.field(on)])
+    lcols = lschema.names
+    out = lcols + [c + right_suffix if c in lcols else c
+                   for c in rschema.names if c != on]
+    keys = [on]
+    if hot_list:
+        hot_arr = pa.array(hot_list).cast(lschema.field(on).type)
 
-    def _bucket_of(key_arr, salts: np.ndarray | None = None) -> pa.Array:
-        from .hashing import _splitmix
+        def salt(t: pa.Table, build: bool) -> pa.Table:
+            hot = pc.is_in(t[on], value_set=hot_arr) \
+                .to_numpy(zero_copy_only=False).astype(bool)
+            if not build:  # probe: spray hot rows over the salt range
+                salts = np.where(hot, np.arange(t.num_rows) % n_salts, 0)
+            else:  # build: one copy of each hot row per salt
+                idx_hot, idx_cold = np.flatnonzero(hot), np.flatnonzero(~hot)
+                t = t.take(np.concatenate([idx_cold, np.tile(idx_hot, n_salts)]))
+                salts = np.concatenate([np.zeros(idx_cold.size, np.int64),
+                                        np.repeat(np.arange(n_salts),
+                                                  idx_hot.size)])
+            return t.append_column("__salt", pa.array(salts, pa.int64()))
 
-        # nulls never match; they just need a deterministic bucket
-        h = _key_hash(key_arr)
-        if salts is not None:
-            h = h + salts.astype(np.uint64) * np.uint64(0xD1B54A32D192ED03)
-        return pa.array((_splitmix(h) % np.uint64(n_buckets)).astype(np.int32))
+        left, right = (d.map_batches(salt, fn_kwargs={"build": build},
+                                     batch_format="pyarrow", batch_size=None)
+                       for d, build in ((left, False), (right, True)))
+        lschema, rschema = (s.append(pa.field("__salt", pa.int64()))
+                            for s in (lschema, rschema))
+        keys = [on, "__salt"]
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            salts = None
-            if hot_arr is not None:
-                hot = pc.is_in(batch[on], value_set=hot_arr) \
-                    .to_numpy(zero_copy_only=False).astype(bool)
-                if side == 0:
-                    # probe side: spray hot rows across the salt range (the
-                    # salt value itself is placement-only — any assignment
-                    # yields the identical join output)
-                    salts = np.where(
-                        hot, np.arange(batch.num_rows, dtype=np.int64) % n_salts, 0)
-                elif hot.any():
-                    # build side: replicate hot rows once per salt so every
-                    # salted probe bucket holds its own copy
-                    idx_hot = np.flatnonzero(hot)
-                    idx_cold = np.flatnonzero(~hot)
-                    take = np.concatenate([idx_cold, np.tile(idx_hot, n_salts)])
-                    salts = np.concatenate([
-                        np.zeros(idx_cold.size, np.int64),
-                        np.repeat(np.arange(n_salts, dtype=np.int64),
-                                  idx_hot.size)])
-                    batch = batch.take(pa.array(take))
-            n = batch.num_rows
-            arrays = [pa.array(np.full(n, side, dtype=np.int8)),
-                      _bucket_of(batch[on], salts)]
-            for f in union_schema.names[2:]:
-                if side == 0:
-                    arrays.append(batch[f] if f in batch.column_names
-                                  else pa.nulls(n, union_schema.field(f).type))
-                else:
-                    # map right's original name to its (possibly suffixed) slot
-                    src = None
-                    if f == on:
-                        src = on
-                    elif f in rout:
-                        src = rcols[rout.index(f)]
-                    if src is not None and src in batch.column_names:
-                        arrays.append(batch[src])
-                    else:
-                        arrays.append(pa.nulls(n, union_schema.field(f).type))
-            return pa.Table.from_arrays(arrays, schema=union_schema)
-        return fn
+    def join_partition(ltbl: pa.Table, rtbl: pa.Table) -> pa.Table:
+        return ltbl.join(rtbl, keys=keys, join_type=_ARROW_HOW[how],
+                         right_suffix=right_suffix,
+                         coalesce_keys=True).select(out)
 
-    unioned = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
-    )
-    out_names = lcols + rout
-    # the salted buckets of one hot key may share a reduce partition, so a
-    # salted join also matches on the bucket (a probe row meets only its
-    # own salt's copy); unsalted, the bucket is a function of the key
-    bkt = ["__bucket"] if hot_arr is not None else []
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        sides = group["__side"]
-        ltbl = group.filter(pc.equal(sides, 0)).select(bkt + lcols)
-        rtbl = (group.filter(pc.equal(sides, 1)).select(bkt + [on] + rout)
-                .rename_columns(bkt + [on] + rcols))
-        joined = ltbl.join(rtbl, keys=[on] + bkt, join_type=arrow_how,
-                           right_suffix=right_suffix, coalesce_keys=True)
-        return joined.select(out_names)
-
-    return block_exchange(unioned, "__bucket", n_buckets, join_bucket,
-                          n_partitions=n_parts)
+    return hash_exchange([(left, lschema), (right, rschema)], keys,
+                         join_partition)
 
 
 def detect_hot_keys(ds: Dataset, on: str, min_rows: int = 250_000) -> list:
@@ -1600,8 +1555,8 @@ def detect_hot_keys(ds: Dataset, on: str, min_rows: int = 250_000) -> list:
     hash_join. A slim ``keyed_aggregate`` row count per key, filtered
     BEFORE collecting — the driver only ever holds the hot set (few keys
     by definition; a key must exceed min_rows to surface). Pair with
-    table_stats NDV/row estimates to pick min_rows ≈ hash_join's
-    rows per bucket."""
+    table_stats NDV/row estimates to pick min_rows near the rows one
+    reduce task of the join should hold."""
     agg = keyed_aggregate(ds.select_columns([on]), [on],
                           [("cnt", None, "count_all")])
     hot = agg.map_batches(
@@ -1615,12 +1570,10 @@ def _orders_cust_sides(sf_dir: str, priority: str | None = None,
     """Shared side-builder for the orders x customer join family: pruned
     reads, money->cents, join-key rename to ``custkey``; optional literal
     per-side filters (applied BEFORE the cents cast so dropped rows never
-    pay it). The rename map_batches hides the metadata count — callers
-    size buckets from the parquet footer (KB of metadata, no data read),
-    scaled by their filter's selectivity. Also returns both sides' Arrow
-    schemas for ``hash_join(schemas=)``, derived by running the same prep
-    and rename over each file's empty table (footer only, no Ray
-    execution)."""
+    pay it). Also returns both sides' Arrow schemas for
+    ``hash_join(schemas=)``, derived by running the same prep and rename
+    over each file's empty table (footer only, no Ray execution), so the
+    join runs no ``limit=1`` schema probe."""
     import pyarrow.parquet as pq
 
     ocols = ["o_orderkey", "o_custkey", "o_totalprice"]
@@ -1662,12 +1615,8 @@ def orders_customer_join(sf_dir: str) -> Dataset:
     """Orders LEFT-joined to customer via the generic co-group hash_join
     (no broadcast): the reference's files x ocr_data join at a scale where
     neither side is broadcastable. Slim projected columns only."""
-    import pyarrow.parquet as pq
-
     orders, cust, schemas = _orders_cust_sides(sf_dir)
-    est = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    return hash_join(orders, cust, on="custkey", how="left", est_rows=est,
-                     schemas=schemas)
+    return hash_join(orders, cust, on="custkey", how="left", schemas=schemas)
 
 
 def orders_customer_full_join(sf_dir: str) -> Dataset:
@@ -1677,18 +1626,9 @@ def orders_customer_full_join(sf_dir: str) -> Dataset:
     survive with the other side's columns null and the key coalesced
     (the reconciliation shape: which orders lack a tracked customer,
     which tracked customers placed no urgent order)."""
-    import pyarrow.parquet as pq
-
     orders, cust, schemas = _orders_cust_sides(sf_dir, priority="1-URGENT",
                                                segment="BUILDING")
-    # footer count scaled by the filter's selectivity (priorities are
-    # uniform 1-of-5 in this corpus) so derived buckets size to the rows
-    # actually joined; placement-only, so a skewed corpus merely
-    # over/under-provisions bucket count, never affects output
-    est = -(-pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-            // 5)
-    return hash_join(orders, cust, on="custkey", how="full", est_rows=est,
-                     schemas=schemas)
+    return hash_join(orders, cust, on="custkey", how="full", schemas=schemas)
 
 
 # ---------------------------------------------------------------------------
@@ -1770,14 +1710,15 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
     """Backward as-of join: for each left row, the LAST right row of the
     same ``by`` key with right.on <= left.on (nulls when none precedes).
 
-    Composition (north-rule custom-operator path (a)): the two tagged
-    sides co-grouped by ``hash_exchange`` on ``by`` — never one Ray group
-    per key — then ONE
-    vectorized segmented scan per reduce partition (a union of whole key
-    groups): sort
-    by (key, time, right-before-left), forward-fill the last right-row
-    index with np.maximum.accumulate, and invalidate fills that cross a
-    key-run boundary (fill < run_start). No per-key Python anywhere.
+    Composition (north-rule custom-operator path (a)): the two sides
+    co-grouped by ``hash_exchange`` on ``by`` (the right side ships only
+    ``by``, ``on`` and ``right_keep``) — never one Ray group per key —
+    then ONE vectorized segmented scan per reduce partition (a union of
+    whole key groups): sort both sides' (key, time) by (key, time,
+    right-before-left), forward-fill the last right-row index with
+    np.maximum.accumulate, and invalidate fills that cross a key-run
+    boundary (fill < run_start). No per-key Python anywhere. Left rows
+    keep their order within the partition.
     Partitioning assumption: rows hash-balance across the reduce
     partitions; a single hot key cannot straddle partitions (the scan is
     order-exact within its run regardless of run length).
@@ -1785,54 +1726,36 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
     caller knows them, as in ``hash_join``; otherwise each side's
     ``Dataset.schema()`` runs a ``limit=1`` execution of its plan.
     """
-    lschema, rschema = schemas or (left.schema(), right.schema())
-    lcols = list(lschema.names)
-    rtypes = dict(zip(rschema.names, rschema.types))
-    ltypes = dict(zip(lschema.names, lschema.types))
+    lschema, rschema = (pa.schema(list(zip(s.names, s.types)))
+                        for s in (schemas or (left.schema(), right.schema())))
+    lcols = lschema.names
     rout = [c + right_suffix if c in lcols else c for c in right_keep]
-    union_schema = pa.schema(
-        [pa.field("__side", pa.int8()), pa.field("__t", pa.int64())]
-        + [pa.field(c, ltypes[c]) for c in lcols]
-        + [pa.field(o, rtypes[c]) for c, o in zip(right_keep, rout)]
-    )
+    rschema = pa.schema([rschema.field(c)
+                         for c in dict.fromkeys([by, on] + right_keep)])
+    result_schema = pa.schema(list(lschema) + [
+        pa.field(o, rschema.field(c).type) for c, o in zip(right_keep, rout)])
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            arrays = [pa.array(np.full(n, side, dtype=np.int8)),
-                      pc.cast(batch[on], pa.int64())]
-            for c in lcols:
-                if side == 0:
-                    arrays.append(batch[c])
-                elif c == by:
-                    arrays.append(batch[by])
-                else:
-                    arrays.append(pa.nulls(n, ltypes[c]))
-            for c in right_keep:
-                arrays.append(batch[c] if side == 1
-                              else pa.nulls(n, rtypes[c]))
-            return pa.Table.from_arrays(arrays, schema=union_schema)
-        return fn
-
-    sides = [left.map_batches(tag(0), batch_format="pyarrow"),
-             right.map_batches(tag(1), batch_format="pyarrow")]
-    result_schema = pa.schema([pa.field(c, ltypes[c]) for c in lcols]
-                              + [pa.field(o, rtypes[c])
-                                 for c, o in zip(right_keep, rout)])
-
-    def block_asof(group: pa.Table) -> pa.Table:
+    def block_asof(ltbl: pa.Table, rtbl: pa.Table) -> pa.Table:
         # right rows sort BEFORE left rows at equal (key, t): a right row
-        # at exactly left.on is eligible (<=); stable sort keeps original
-        # order among equal right timestamps, so maximum.accumulate picks
-        # the last one — same tie rule as a searchsorted(side="right")
-        t = group.sort_by([(by, "ascending"), ("__t", "ascending"),
-                           ("__side", "descending")])
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        l_rows = np.flatnonzero(side == 0)
-        if l_rows.size == 0:
+        # at exactly left.on is eligible (<=); the stable sort keeps the
+        # original order among equal right timestamps, so
+        # maximum.accumulate picks the last one — same tie rule as a
+        # searchsorted(side="right")
+        nl = ltbl.num_rows
+        if nl == 0:
             return result_schema.empty_table()
-        n = t.num_rows
-        keycol = t[by].combine_chunks()
+        side = np.repeat(np.array([0, 1], np.int8), [nl, rtbl.num_rows])
+        both = pa.table({
+            "k": pa.chunked_array(ltbl[by].chunks + rtbl[by].chunks,
+                                  lschema.field(by).type),
+            "t": pa.chunked_array(pc.cast(ltbl[on], pa.int64()).chunks
+                                  + pc.cast(rtbl[on], pa.int64()).chunks,
+                                  pa.int64()),
+            "side": side})
+        order = pc.sort_indices(both, [("k", "ascending"), ("t", "ascending"),
+                                       ("side", "descending")]).to_numpy()
+        n = order.size
+        keycol = both["k"].take(order).combine_chunks()
         if pa.types.is_integer(keycol.type):
             codes = keycol.to_numpy(zero_copy_only=False)
         else:
@@ -1843,22 +1766,20 @@ def asof_join(left: Dataset, right: Dataset, by: str, on: str,
         np.not_equal(codes[1:], codes[:-1], out=change[1:])
         run_start = np.maximum.accumulate(
             np.where(change, np.arange(n, dtype=np.int64), 0))
+        sorted_side = side[order]
         filled = np.maximum.accumulate(
-            np.where(side == 1, np.arange(n, dtype=np.int64), -1))
-        valid = filled >= run_start  # fill from an earlier key run is void
-        ltbl = t.take(pa.array(l_rows))
-        lvalid = valid[l_rows]
-        take_idx = pa.array(np.where(lvalid, filled[l_rows], 0))
-        vmask = pa.array(lvalid)
-        arrays = [ltbl[c] for c in lcols]
-        for c, o in zip(right_keep, rout):
-            col = pc.take(t[o], take_idx)
-            col = pc.if_else(vmask, col,
-                             pa.nulls(1, result_schema.field(o).type)[0])
-            arrays.append(col)
-        return pa.Table.from_arrays(arrays, schema=result_schema)
+            np.where(sorted_side == 1, np.arange(n, dtype=np.int64), -1))
+        l_rows = np.flatnonzero(sorted_side == 0)
+        valid = filled[l_rows] >= run_start[l_rows]  # fill from an earlier run is void
+        # the right row each left row (in its own order) takes; -1: none
+        match = np.full(nl, -1, np.int64)
+        match[order[l_rows]] = np.where(valid, order[filled[l_rows]] - nl, -1)
+        take = pa.array(match, mask=match < 0)
+        return pa.Table.from_arrays(
+            ltbl.columns + [rtbl[c].take(take) for c in right_keep],
+            schema=result_schema)
 
-    return hash_exchange(sides, [by], block_asof)
+    return hash_exchange([(left, lschema), (right, rschema)], [by], block_asof)
 
 
 def _purchase_click_sides(sf_dir: str):
@@ -2011,8 +1932,8 @@ def doc_size_percentiles(sf_dir: str) -> Dataset:
 
 def customers_without_orders(sf_dir: str, status: str = "P") -> Dataset:
     """Customers with no order in the given status — the ANTI-join shape
-    (tombstone/GC scans, orphan detection) via the bucketed hash_join
-    with Arrow's left-anti kernel per bucket. (The testdata's FKs are
+    (tombstone/GC scans, orphan detection) via the co-grouped hash_join
+    with Arrow's left-anti kernel per partition. (The testdata's FKs are
     fully covered, so the unfiltered variant would be empty; the status
     filter makes the result non-trivial at every scale.)"""
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -2203,7 +2124,7 @@ def storage_reconcile(sf_dir: str, team_region: str = "ASIA") -> Dataset:
     = nation name.
 
     Scale shape: orders reduce to one slim ``keyed_aggregate`` sum per
-    custkey; the customer side joins through the bucketed
+    custkey; the customer side joins through the co-grouped
     ``hash_join`` (no broadcast of the big side); nation->region routing
     is a genuinely tiny dimension broadcast via ``ray.put``. Output:
     (scope, entity, storage_used_cents, n_members, drifted).
@@ -2301,7 +2222,7 @@ def table_stats(sf_dir: str, table: str = "orders",
                 int_cols: tuple[str, ...] = ("o_orderkey", "o_custkey")) -> Dataset:
     """Catalog statistics per integer column: (column, min_v, max_v,
     n_nulls, n_distinct) — the ANALYZE pass that feeds join planning
-    (e.g. derive_join_buckets' row estimates and broadcast-vs-bucket
+    (e.g. detect_hot_keys thresholds and broadcast-vs-exchange
     decisions).
 
     One projection melts the table to slim (column, v) rows; three

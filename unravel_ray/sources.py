@@ -16,55 +16,12 @@ from ray.data import Dataset
 
 
 # ---------------------------------------------------------------------------
-# S1/S5 — ingest
+# S1 — ingest
 # ---------------------------------------------------------------------------
 
 def read_docs(path: str, columns: list[str] | None = None) -> Dataset:
     """Interleaved docs table from the columnar store (S1 ingest analog)."""
     return ray.data.read_parquet(path, columns=columns)
-
-
-def ingest_binary_files(paths: str | list[str]) -> Dataset:
-    """Raw file ingest -> DOCS-shaped rows (S1 multipart ingest,
-    DocumentUploadImpl.java:53-228).
-
-    Content routing: text/html files carry their decoded CONTENT in the
-    span (so downstream extraction actually uses the bytes read here);
-    image/pdf payloads stay behind ``media_ref`` pointers the OCR provider
-    fetches (large blobs never ride span rows). Validation happens in the
-    pipeline, not here (partial-success semantics).
-    """
-    ds = ray.data.read_binary_files(paths, include_paths=True)
-
-    def to_doc(batch: pa.Table) -> pa.Table:
-        paths_col = batch["path"].to_pylist()
-        payloads = batch["bytes"].to_pylist()
-        rows = []
-        for p, payload in zip(paths_col, payloads):
-            ext = p.rsplit(".", 1)[-1].lower() if "." in p else ""
-            mime = {
-                "png": "image/png", "jpg": "image/jpeg", "jpeg": "image/jpeg",
-                "gif": "image/gif", "pdf": "application/pdf",
-                "html": "text/html", "txt": "text/plain",
-            }.get(ext, "application/octet-stream")
-            if mime in ("text/html", "text/plain"):
-                text = payload.decode("utf-8", errors="replace")
-                span = {"kind": "html" if mime == "text/html" else "text",
-                        "text": text, "media_ref": None, "offset": 0}
-            elif mime.startswith("image"):
-                span = {"kind": "image", "text": None, "media_ref": p, "offset": 0}
-            else:
-                span = {"kind": "pdf_page", "text": None, "media_ref": p, "offset": 0}
-            rows.append({
-                "doc_id": p, "collection_id": "ingest", "spans": [span],
-                "mime_type": mime, "file_size": len(payload), "lang": "eng",
-                "start_page": None, "end_page": None, "pages": None,
-            })
-        from .schema import DOCS_SCHEMA
-
-        return pa.Table.from_pylist(rows, schema=DOCS_SCHEMA)
-
-    return ds.map_batches(to_doc, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +64,6 @@ def search_projection(extracted: Dataset) -> Dataset:
         })
 
     return extracted.map_batches(project, batch_format="pyarrow")
-
-
-def sync_to_search(extracted: Dataset, out_dir: str) -> None:
-    """S8 bulk re-sync: scan -> project -> sink, the reference's only true
-    batch pipeline (ElasticsearchSyncService.java:65-95), as one lazy chain."""
-    search_projection(extracted).write_parquet(out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +113,6 @@ def point_lookup(ds: Dataset, doc_id: str) -> list[dict]:
     return ds.map_batches(
         lambda b: b.filter(pc.equal(b["doc_id"], doc_id)), batch_format="pyarrow"
     ).take_all()
-
-
-def read_docs_any(path: str, columns: list[str] | None = None) -> Dataset:
-    """Columnar-store reader with the Lance fast path.
-
-    The north star names Lance-backed tables; ``pylance`` is not
-    installable in this environment (SURVEY.md §7.0), so the reader is
-    gated: Lance datasets when the library is importable, Parquet
-    otherwise — identical downstream semantics either way.
-    """
-    try:
-        import lance  # type: ignore  # noqa: F401
-
-        return ray.data.read_lance(path, columns=columns)
-    except ImportError:
-        return ray.data.read_parquet(path, columns=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Upload/record validation (operator M7, SURVEY.md §2.2) — vectorized.
+"""Upload/record validation limits (operator M7, SURVEY.md §2.2), applied
+per work unit by ``stages.explode_extract``.
 
 Behavioral contract:
 
@@ -9,17 +10,11 @@ Behavioral contract:
 * Invalid rows are RETAINED with status='failed_validation' and an error
   message — partial-success semantics, not a filter
   (DocumentUploadImpl.java:111-120).
-
-Implemented as pure pyarrow.compute over the batch: no per-row Python.
 """
 
 from __future__ import annotations
 
-import pyarrow as pa
-import pyarrow.compute as pc
-
 SINGLE_FILE_MAX_BYTES = 10 * 1024 * 1024
-TOTAL_UPLOAD_MAX_BYTES = 50 * 1024 * 1024
 
 ALLOWED_MIMES = (
     "image/gif", "image/jpeg", "image/png", "image/jpg",
@@ -33,47 +28,3 @@ ALLOWED_MIMES = (
     "text/html", "text/plain",
 )
 
-STATUS_OK = "ok"
-STATUS_FAILED_VALIDATION = "failed_validation"
-
-
-def validate_batch(batch: pa.Table,
-                   mime_col: str = "mime_type",
-                   size_col: str = "file_size") -> pa.Table:
-    """Append ``status`` + ``error_message`` columns (vectorized).
-
-    status = 'ok' | 'failed_validation'; valid rows get a null error.
-    """
-    n = batch.num_rows
-    if mime_col in batch.column_names:
-        mime = batch[mime_col]
-        mime_ok = pc.is_in(mime, value_set=pa.array(ALLOWED_MIMES, pa.string()))
-        mime_ok = pc.fill_null(mime_ok, False)
-    else:
-        mime_ok = pa.array([True] * n, pa.bool_())
-
-    if size_col in batch.column_names:
-        size_ok = pc.fill_null(
-            pc.less_equal(batch[size_col], pa.scalar(SINGLE_FILE_MAX_BYTES)), False
-        )
-    else:
-        size_ok = pa.array([True] * n, pa.bool_())
-
-    ok = pc.and_(mime_ok, size_ok)
-    status = pc.if_else(ok, pa.scalar(STATUS_OK), pa.scalar(STATUS_FAILED_VALIDATION))
-
-    mime_msg = pc.binary_join_element_wise(
-        pa.array(["Invalid file type: "] * n),
-        pc.fill_null(pc.cast(batch[mime_col], pa.string()) if mime_col in batch.column_names
-                     else pa.array([""] * n), "null"),
-        "",
-    )
-    size_msg = pa.array(
-        [f"The file size must not exceed {SINGLE_FILE_MAX_BYTES // (1024 * 1024)} MB."] * n
-    )
-    error = pc.if_else(ok, pa.scalar(None, pa.string()),
-                       pc.if_else(mime_ok, size_msg, mime_msg))
-
-    batch = batch.append_column("status", status)
-    batch = batch.append_column("error_message", error)
-    return batch
